@@ -33,7 +33,7 @@ from repro.serve.cluster import (
     corridor_adjacency,
     make_demo_bundle,
 )
-from repro.serve.loadgen import run_cluster_load
+from repro.serve.loadgen import drive, sensor_traffic, zipf_node_sampler
 from repro.telemetry import MetricRegistry
 
 pytestmark = pytest.mark.bench
@@ -57,14 +57,13 @@ def _warm(handle, num_nodes, steps=12, seed=9):
 
 
 def _drive(handle):
-    return run_cluster_load(
+    # each round is one observe + one per-node forecast: REQUESTS per client
+    weights = zipf_node_sampler(NODES, exponent=1.1, seed=1).weights
+    return drive(
         handle,
-        num_nodes=NODES,
-        num_features=1,
-        mode="closed",
+        *sensor_traffic(NODES, 1, weights),
         num_clients=CLIENTS,
-        requests_per_client=REQUESTS,
-        zipf_exponent=1.1,
+        rounds=REQUESTS // 2,
         seed=1,
         start_step=1000,
     )

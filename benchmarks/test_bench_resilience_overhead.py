@@ -88,7 +88,6 @@ def test_resilience_overhead(tmp_path):
             try:
                 reports[name].append(run_load(
                     engine,
-                    mode=name,
                     num_clients=CLIENTS,
                     requests_per_client=REQUESTS,
                 ))

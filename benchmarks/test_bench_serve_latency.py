@@ -254,7 +254,7 @@ def test_serve_latency(tmp_path):
           f"p50 {seq['latency_ms_p50']:.1f}ms p99 {seq['latency_ms_p99']:.1f}ms")
     print(f"batched:    {bat['throughput_rps']:.0f} req/s "
           f"p50 {bat['latency_ms_p50']:.1f}ms p99 {bat['latency_ms_p99']:.1f}ms "
-          f"(mean batch {bat['mean_batch_size']:.1f})")
+          f"(mean batch {bat['details']['mean_batch_size']:.1f})")
     print(f"throughput ratio: {ratio:.2f}x")
     print(f"shadow:     live p50 {off_p50:.1f}ms -> {on_p50:.1f}ms "
           f"({(overhead_ratio - 1) * 100:+.1f}%) over {SHADOW_ROUNDS} rounds, "

@@ -92,7 +92,6 @@ def _run(engine, seed):
     with engine:
         report = run_load(
             engine,
-            mode="batched",
             num_clients=CLIENTS,
             requests_per_client=REQUESTS,
             seed=seed,

@@ -32,17 +32,12 @@ Every pattern draws from ``np.random.default_rng(seed)``, so the same
 scenario JSON always regenerates the same mask. Masks use the repo-wide
 convention: 1 = observed, 0 = missing, dtype
 :func:`~repro.autodiff.default_dtype`.
-
-The bare ``mcar_mask`` / ``block_mask`` / ``sensor_failure_mask`` /
-``combine_masks`` functions are kept as thin deprecated wrappers for one
-release; see docs/MISSING.md.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -64,11 +59,6 @@ __all__ = [
     "MixedPattern",
     "intersect_masks",
     "holdout_observed",
-    # deprecated wrappers (one release)
-    "mcar_mask",
-    "block_mask",
-    "sensor_failure_mask",
-    "combine_masks",
 ]
 
 
@@ -117,8 +107,8 @@ class MissingPattern:
     from ``seed``, so repeated calls return identical masks and two
     consumers of the same scenario JSON (offline eval, chaos injection)
     provably agree. Pass an explicit ``rng`` only to join an existing
-    stream (the deprecated wrappers and the legacy experiment-context
-    path do this for mask-for-mask compatibility).
+    stream (the experiment-context path does this for mask-for-mask
+    compatibility with its shared generator).
     """
 
     #: registry key; subclasses must override.
@@ -744,56 +734,3 @@ def holdout_observed(
     holdout_mask = drop.astype(default_dtype())
     return training_mask, holdout_mask
 
-
-# ----------------------------------------------------------------------
-# Deprecated wrappers (one release; see docs/MISSING.md)
-# ----------------------------------------------------------------------
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead (removal next release)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def mcar_mask(
-    shape: tuple[int, ...],
-    missing_rate: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Deprecated: use ``make_pattern("mcar", rate=...).mask(shape)``."""
-    _deprecated("mcar_mask", 'make_pattern("mcar", rate=...)')
-    return MCARPattern(rate=missing_rate).mask(shape, rng=rng)
-
-
-def block_mask(
-    shape: tuple[int, int, int],
-    num_blocks: int,
-    block_length: tuple[int, int],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Deprecated: use ``make_pattern("block", ...).mask(shape)``."""
-    _deprecated("block_mask", 'make_pattern("block", num_blocks=..., block_length=...)')
-    return BlockPattern(num_blocks=num_blocks, block_length=block_length).mask(
-        shape, rng=rng
-    )
-
-
-def sensor_failure_mask(
-    shape: tuple[int, int, int],
-    failure_rate: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Deprecated: use ``make_pattern("sensor", rate=...).mask(shape)``."""
-    _deprecated("sensor_failure_mask", 'make_pattern("sensor", rate=...)')
-    return SensorFailurePattern(rate=failure_rate).mask(shape, rng=rng)
-
-
-def combine_masks(*masks: np.ndarray) -> np.ndarray:
-    """Deprecated: use :func:`intersect_masks`."""
-    _deprecated("combine_masks", "intersect_masks")
-    return intersect_masks(*masks)
-
-
-# Keep a typing reference used by docs/tests discoverable.
-PatternFactory = Callable[..., MissingPattern]

@@ -4,11 +4,11 @@ HTTP front-end and load benchmarking.
 The offline story (train → evaluate on windowed arrays) gets a
 deployment counterpart::
 
-    from repro.serve import export_bundle, load_bundle, ServeApp, run_server
+    from repro.serve import ServeApp, ServeConfig, export_bundle, load_bundle, run_server
 
     export_bundle(model, "RIHGCN", ctx, "artifacts/rihgcn-demo")
     bundle = load_bundle("artifacts/rihgcn-demo")
-    run_server(ServeApp(bundle), port=8787)
+    run_server(ServeApp(bundle, config=ServeConfig(port=8787)))
 
 See ``docs/SERVING.md`` for the full walk-through and
 ``examples/serve_quickstart.py`` for a runnable end-to-end script.
@@ -53,17 +53,15 @@ from .fleet import EnginePool, TenantQuota, build_pool
 from .http import PlainText, Response, ServeApp, bind_http, make_server, run_server
 from .planner import PlanRuntime
 from .loadgen import (
-    ClusterLoadReport,
     LoadReport,
-    SoakReport,
     compare_batched_sequential,
+    drive,
     make_chaos_app,
-    open_loop_arrivals,
     run_chaos_soak,
-    run_cluster_load,
     run_fleet_smoke,
     run_load,
     run_slo_smoke,
+    sensor_traffic,
     zipf_node_sampler,
 )
 from .state import StateStore, StateWindow
@@ -99,17 +97,15 @@ __all__ = [
     "make_server",
     "run_server",
     "LoadReport",
+    "drive",
+    "sensor_traffic",
+    "zipf_node_sampler",
     "run_load",
     "compare_batched_sequential",
-    "SoakReport",
     "make_chaos_app",
     "run_chaos_soak",
     "run_fleet_smoke",
     "run_slo_smoke",
-    "ClusterLoadReport",
-    "open_loop_arrivals",
-    "run_cluster_load",
-    "zipf_node_sampler",
     "ClusterConfig",
     "ClusterRouter",
     "ClusterSupervisor",

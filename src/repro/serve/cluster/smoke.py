@@ -155,7 +155,7 @@ def _chaos_phase(
     processes: bool,
     requests_per_phase: int,
 ) -> dict:
-    from ..loadgen import run_cluster_load
+    from ..loadgen import drive, sensor_traffic, zipf_node_sampler
 
     bundle_path = os.path.join(workdir, "chaos_bundle.npz")
     bundle = make_demo_bundle(
@@ -165,15 +165,17 @@ def _chaos_phase(
     plan = build_plan(bundle, config)
     rng = np.random.default_rng(seed)
     victim = int(rng.integers(num_shards))
+    traffic = sensor_traffic(
+        num_nodes, 1, zipf_node_sampler(num_nodes, seed=seed).weights
+    )
 
     def load(handle, phase_seed, start_step):
-        return run_cluster_load(
+        # two clients, each round one observe + one per-node forecast
+        return drive(
             handle,
-            num_nodes=num_nodes,
-            num_features=1,
-            mode="closed",
+            *traffic,
             num_clients=2,
-            requests_per_client=requests_per_phase // 2,
+            rounds=requests_per_phase // 4,
             seed=phase_seed,
             start_step=start_step,
         )

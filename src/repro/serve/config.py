@@ -17,12 +17,8 @@ The multi-tenant fleet layers on top: a :class:`FleetConfig` is a base
 its model bundle, an optional token-bucket quota, per-tenant resilience
 overrides and optional :class:`ShadowConfig` / :class:`CanaryConfig`
 rollout plans. ``FleetConfig.single()`` wraps a lone ``ServeConfig``
-into a one-tenant fleet, which is how the legacy single-engine entry
-points keep working unchanged.
-
-The old loose-kwargs call styles (``make_server(app, host, port)``,
-engine kwargs passed straight to ``ServeApp``) were removed in this
-release; they now raise ``TypeError`` with a migration hint.
+into a one-tenant fleet, which is how the single-engine entry points
+keep working unchanged.
 """
 
 from __future__ import annotations

@@ -1,26 +1,35 @@
-"""Closed-loop load generation against a :class:`ForecastEngine`.
+"""Closed-loop load generation: one driver, many scenarios.
 
-Each simulated client alternates *observe one sensor → request one
-forecast*, so consecutive requests see fresh state versions (forecasts
-cannot all collapse into the LRU cache) and concurrent clients give the
-dispatcher real fusion opportunities. The generator drives the engine
-directly — no HTTP in the measured path — so the numbers isolate the
-serving core: batching, no-grad forwards, cache, locks.
+:func:`drive` is the only in-process client loop. ``num_clients``
+threads start together on a barrier and each run ``rounds`` of *observe
+one reading → request one forecast* against any ``handle(method, path,
+body)`` surface: :class:`~repro.serve.http.ServeApp`, a shard app, the
+cluster router, an HTTP client wrapper, or a bare engine (see
+:func:`run_load`). Observations take consecutive steps from one
+shared counter, so forecasts see fresh state versions (they cannot all
+collapse into the LRU cache) and concurrent clients give the dispatcher
+real fusion opportunities. Every response goes through one tally into
+one :class:`LoadReport`; forecast and observe latencies are kept apart.
 
-:func:`compare_batched_sequential` runs the same workload twice, against
-a micro-batching engine and a ``max_batch_size=1`` baseline, which is
-the committed ``BENCH_serve_latency`` comparison.
+The scenarios on top supply only request paths and bodies:
 
-:func:`run_chaos_soak` is the availability harness: it wraps a bundle's
-model and store in the seeded fault injectors from
-:mod:`repro.reliability.chaos`, drives the full :class:`ServeApp`
-request path (status codes, headers and all, minus sockets) with
-concurrent clients, and reports availability, degradation tagging and
-crash counts — the numbers the chaos-smoke CI job gates on.
+* :func:`run_load` / :func:`compare_batched_sequential` — the engine
+  alone, no HTTP or JSON in the timed forecast call (the committed
+  ``BENCH_serve_latency`` comparison);
+* :func:`run_chaos_soak` — a fault-injected app from
+  :func:`make_chaos_app` (the chaos-smoke availability gate);
+* :func:`run_fleet_smoke` / :func:`run_slo_smoke` — multi-phase rollout
+  and SLO exercises over a tenant pool.
+
+Closed-loop clients wait for each answer before sending the next
+request, so this measures capacity, not latency at a fixed offered
+rate. Open-loop measurement over real sockets, with latency counted
+from the scheduled arrival, is ``perfbench/`` (see its README).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
@@ -33,86 +42,159 @@ from ..telemetry import MetricRegistry
 from .artifact import ModelBundle
 from .config import ServeConfig
 from .engine import ForecastEngine
+from .http import Response, ServeApp
 
 __all__ = [
     "LoadReport",
+    "drive",
+    "sensor_traffic",
+    "zipf_node_sampler",
     "run_load",
     "compare_batched_sequential",
-    "SoakReport",
     "make_chaos_app",
     "run_chaos_soak",
     "run_fleet_smoke",
     "run_slo_smoke",
-    "open_loop_arrivals",
-    "zipf_node_sampler",
-    "ClusterLoadReport",
-    "run_cluster_load",
 ]
+
+#: mean of the synthetic readings every scenario sends (speed-like units)
+VALUE_SCALE = 60.0
+
+_COUNTS = (
+    "requests", "forecasts", "ok", "degraded", "untagged_degraded",
+    "rejected", "client_errors", "server_errors", "crashes",
+)
 
 
 @dataclass
 class LoadReport:
-    """Aggregate result of one closed-loop run."""
+    """Aggregate result of one :func:`drive` run."""
 
-    mode: str  # "batched" | "sequential"
     num_clients: int
-    requests: int
-    errors: int
+    requests: int  # observe + forecast requests issued
+    forecasts: int
+    ok: int  # 2xx responses
+    degraded: int  # 2xx forecasts answered by a fallback rung
+    untagged_degraded: int  # X-Degraded header disagrees with body tag
+    rejected: int  # 429s (load shedding, quota)
+    client_errors: int  # other 4xx
+    server_errors: int  # 5xx
+    crashes: int  # exceptions escaping ``handle``
+    errors: int  # server_errors + crashes
+    availability: float  # 1 - errors / requests
     duration_s: float
-    throughput_rps: float
-    latency_ms_mean: float
+    throughput_rps: float  # requests per second
+    latency_ms_mean: float  # forecast latency
     latency_ms_p50: float
     latency_ms_p95: float
     latency_ms_p99: float
-    forwards: int
-    batches: int
-    mean_batch_size: float
-    cache_hits: int
-    cache_hit_ratio: float
+    observe_latency_ms_p50: float
+    observe_latency_ms_p99: float
+    retry_after: str | None = None  # Retry-After of the last 429 seen
+    #: scenario extras: engine counters, injected faults, fallback rungs
+    details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
 
+    def render(self) -> str:
+        lines = [
+            f"load: {self.requests} requests ({self.forecasts} forecasts) "
+            f"from {self.num_clients} clients in {self.duration_s:.2f}s",
+            f"  availability       {self.availability:.2%} "
+            f"({self.server_errors} server errors, {self.crashes} crashes)",
+            f"  degraded answers   {self.degraded} "
+            f"({self.untagged_degraded} missing tags)",
+            f"  rejected (backoff) {self.rejected}   "
+            f"client errors {self.client_errors}",
+            f"  forecast latency   p50 {self.latency_ms_p50:.2f}ms "
+            f"p99 {self.latency_ms_p99:.2f}ms",
+        ]
+        lines += [
+            f"  {key:<18} {json.dumps(value, sort_keys=True)}"
+            for key, value in self.details.items()
+        ]
+        return "\n".join(lines)
 
-def run_load(
-    engine: ForecastEngine,
-    mode: str,
-    num_clients: int = 8,
-    requests_per_client: int = 40,
-    horizon: int | None = None,
+
+def _tally(counts: dict, response, is_forecast: bool) -> None:
+    status = response.status
+    if status >= 500:
+        counts["server_errors"] += 1
+    elif status == 429:
+        counts["rejected"] += 1
+    elif status >= 400:
+        counts["client_errors"] += 1
+    else:
+        counts["ok"] += 1
+        if is_forecast:
+            body = response.body if isinstance(response.body, dict) else {}
+            degraded = body.get("degraded")
+            header = response.headers.get("X-Degraded")
+            if degraded:
+                counts["degraded"] += 1
+            # every degraded 200 carries the rung in both header and body
+            if (degraded or header) and header != degraded:
+                counts["untagged_degraded"] += 1
+
+
+def _percentile(values: np.ndarray, q: float) -> float:
+    return float(np.percentile(values, q)) if values.size else 0.0
+
+
+def drive(
+    handle,
+    observe,
+    forecast="/forecast",
+    *,
+    num_clients: int = 1,
+    rounds: int = 40,
     seed: int = 0,
-    value_scale: float = 60.0,
+    start_step: int = 0,
 ) -> LoadReport:
-    """Drive ``engine`` with ``num_clients`` closed-loop client threads.
+    """Run closed-loop observe → forecast rounds against ``handle``.
 
-    Each client owns a disjoint set of sensors it feeds round-robin with
-    synthetic readings at advancing steps, requesting a forecast after
-    every observation. Latencies are wall-clock per forecast call.
+    ``observe(rng, step)`` returns the ``(path, body)`` of one ``POST``
+    at the next step of a counter shared by all clients (starting at
+    ``start_step``); ``forecast`` is the ``GET`` path that follows, or a
+    callable ``forecast(rng)`` returning it. Client ``i`` draws from
+    ``np.random.default_rng(seed + i)``, so one seed gives one request
+    sequence per client. Exceptions escaping ``handle`` count as
+    crashes; forecast latency percentiles exclude observe latency.
     """
-    store = engine.store
-    latencies: list[list[float]] = [[] for _ in range(num_clients)]
-    errors = [0] * num_clients
-    next_step = [store.newest_step + 1]
+    counts = [dict.fromkeys(_COUNTS, 0) for _ in range(num_clients)]
+    forecast_ms: list[list[float]] = [[] for _ in range(num_clients)]
+    observe_ms: list[list[float]] = [[] for _ in range(num_clients)]
+    retry_after: list[str | None] = [None] * num_clients
+    steps = itertools.count(start_step)
     step_lock = threading.Lock()
     start_barrier = threading.Barrier(num_clients + 1)
+
+    def send(idx: int, method: str, path: str, body, latencies: list) -> None:
+        c = counts[idx]
+        c["requests"] += 1
+        began = time.perf_counter()
+        try:
+            response = handle(method, path, body)
+        except Exception:
+            c["crashes"] += 1
+            return
+        latencies.append((time.perf_counter() - began) * 1e3)
+        _tally(c, response, is_forecast=method == "GET")
+        if response.status == 429:
+            retry_after[idx] = response.headers.get("Retry-After")
 
     def client(idx: int) -> None:
         rng = np.random.default_rng(seed + idx)
         start_barrier.wait()
-        for _ in range(requests_per_client):
+        for _ in range(rounds):
             with step_lock:
-                step = next_step[0]
-                next_step[0] += 1
-            node = int(rng.integers(store.num_nodes))
-            features = rng.normal(value_scale, 5.0, size=store.num_features)
-            store.observe_sensor(step, node, features)
-            begin = time.perf_counter()
-            try:
-                engine.forecast(horizon=horizon)
-            except Exception:
-                errors[idx] += 1
-                continue
-            latencies[idx].append((time.perf_counter() - begin) * 1e3)
+                step = next(steps)
+            path, body = observe(rng, step)
+            send(idx, "POST", path, body, observe_ms[idx])
+            counts[idx]["forecasts"] += 1
+            path = forecast(rng) if callable(forecast) else forecast
+            send(idx, "GET", path, None, forecast_ms[idx])
 
     threads = [
         threading.Thread(target=client, args=(idx,), daemon=True)
@@ -126,30 +208,161 @@ def run_load(
         thread.join()
     duration = time.perf_counter() - begin
 
-    flat = np.array([ms for per_client in latencies for ms in per_client])
-    total = int(flat.size)
+    total = {key: sum(c[key] for c in counts) for key in _COUNTS}
+    errors = total["server_errors"] + total["crashes"]
+    fc = np.array([ms for per in forecast_ms for ms in per])
+    ob = np.array([ms for per in observe_ms for ms in per])
+    requests = total["requests"]
+    return LoadReport(
+        num_clients=num_clients,
+        **total,
+        errors=errors,
+        availability=float(1.0 - errors / requests) if requests else 1.0,
+        duration_s=float(duration),
+        throughput_rps=float(requests / duration) if duration > 0 else 0.0,
+        latency_ms_mean=float(fc.mean()) if fc.size else 0.0,
+        latency_ms_p50=_percentile(fc, 50),
+        latency_ms_p95=_percentile(fc, 95),
+        latency_ms_p99=_percentile(fc, 99),
+        observe_latency_ms_p50=_percentile(ob, 50),
+        observe_latency_ms_p99=_percentile(ob, 99),
+        retry_after=next((r for r in reversed(retry_after) if r), None),
+    )
+
+
+def _engine_handle(engine: ForecastEngine, horizon: int | None = None):
+    """A :func:`drive` ``handle`` over a bare engine, no HTTP or JSON.
+
+    Observe bodies are ``(step, node, features)`` tuples handed to
+    ``engine.store.observe_sensor``; every ``GET`` is one
+    ``engine.forecast``, so forecast latency times only the serving core.
+    """
+    def handle(method, path, body):
+        if method == "POST":
+            engine.store.observe_sensor(*body)
+            return Response(200, {})
+        degraded = engine.forecast(horizon=horizon).degraded
+        return Response(
+            200, {"degraded": degraded}, {"X-Degraded": degraded} if degraded else {}
+        )
+
+    return handle
+
+
+def sensor_traffic(num_nodes: int, num_features: int, weights=None):
+    """``(observe, forecast)`` for per-sensor HTTP load.
+
+    Each round posts one sensor's reading. Nodes are uniform and the
+    forecast covers the whole network; with ``weights`` (e.g. a
+    :func:`zipf_node_sampler`'s) both the observed sensor and a
+    ``?node=`` forecast target are drawn from them.
+    """
+    def pick(rng) -> int:
+        if weights is None:
+            return int(rng.integers(num_nodes))
+        return int(rng.choice(num_nodes, p=weights))
+
+    def observe(rng, step):
+        node = pick(rng)
+        features = rng.normal(VALUE_SCALE, 5.0, size=num_features)
+        body = {"step": step, "node": node, "features": features.tolist()}
+        return "/observe", json.dumps(body).encode()
+
+    if weights is None:
+        return observe, "/forecast"
+    return observe, lambda rng: f"/forecast?node={pick(rng)}"
+
+
+def _network_observe(prefix: str, store):
+    """Observe builder posting a full-network reading under ``prefix``."""
+    def observe(rng, step):
+        values = rng.normal(
+            VALUE_SCALE, 5.0, size=(store.num_nodes, store.num_features)
+        )
+        body = {"step": step, "values": values.tolist()}
+        return f"{prefix}/observe", json.dumps(body).encode()
+
+    return observe
+
+
+def zipf_node_sampler(
+    num_nodes: int,
+    exponent: float = 1.1,
+    seed: int = 0,
+):
+    """Zipf-skewed node popularity: returns ``sample(size=None)``.
+
+    Rank ``r`` (1-based) carries weight ``r**-exponent``; ranks are
+    mapped onto node ids through a seeded permutation so the hot nodes
+    are not simply the low ids (which would all land on shard 0 under a
+    contiguous partition). ``sample()`` returns one ``int`` node id;
+    ``sample(k)`` an ``ndarray`` of ``k`` ids. The sampler also exposes
+    ``sample.weights`` (per-node probability, id order), which
+    :func:`sensor_traffic` takes.
+    """
+    if num_nodes < 1:
+        raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
+    if exponent < 0:
+        raise ValueError(f"exponent must be >= 0, got {exponent}")
+    ranks = np.arange(1, num_nodes + 1, dtype=np.float64)
+    rank_weights = ranks ** -float(exponent)
+    rank_weights /= rank_weights.sum()
+    rng = np.random.default_rng(seed)
+    node_of_rank = rng.permutation(num_nodes)
+    weights = np.zeros(num_nodes)
+    weights[node_of_rank] = rank_weights
+
+    def sample(size: int | None = None):
+        picked = node_of_rank[rng.choice(num_nodes, size=size, p=rank_weights)]
+        return int(picked) if size is None else picked
+
+    sample.weights = weights
+    sample.node_of_rank = node_of_rank
+    return sample
+
+
+# ----------------------------------------------------------------------
+# Engine benchmarks
+# ----------------------------------------------------------------------
+def run_load(
+    engine: ForecastEngine,
+    num_clients: int = 8,
+    requests_per_client: int = 40,
+    horizon: int | None = None,
+    seed: int = 0,
+) -> LoadReport:
+    """Drive ``engine`` directly with ``num_clients`` closed-loop clients.
+
+    Each round feeds one random sensor a synthetic reading, then times
+    one forecast. ``details`` carries the engine's batching and cache
+    counters.
+    """
+    store = engine.store
+
+    def observe(rng, step):
+        node = int(rng.integers(store.num_nodes))
+        features = rng.normal(VALUE_SCALE, 5.0, size=store.num_features)
+        return "/observe", (step, node, features)
+
+    report = drive(
+        _engine_handle(engine, horizon),
+        observe,
+        num_clients=num_clients,
+        rounds=requests_per_client,
+        seed=seed,
+        start_step=store.newest_step + 1,
+    )
     registry = engine.registry
-    batches = int(registry.counter("serve/batches").value)
-    batch_hist = registry.histogram("serve/batch_size")
     cache_hits = int(registry.counter("serve/cache_hits").value)
     answered = int(registry.counter("serve/requests").value)
-    return LoadReport(
-        mode=mode,
-        num_clients=num_clients,
-        requests=total,
-        errors=int(sum(errors)),
-        duration_s=float(duration),
-        throughput_rps=float(total / duration) if duration > 0 else 0.0,
-        latency_ms_mean=float(flat.mean()) if total else 0.0,
-        latency_ms_p50=float(np.percentile(flat, 50)) if total else 0.0,
-        latency_ms_p95=float(np.percentile(flat, 95)) if total else 0.0,
-        latency_ms_p99=float(np.percentile(flat, 99)) if total else 0.0,
-        forwards=int(registry.counter("serve/forwards").value),
-        batches=batches,
-        mean_batch_size=float(batch_hist.mean),
-        cache_hits=cache_hits,
-        cache_hit_ratio=float(cache_hits / answered) if answered else 0.0,
-    )
+    report.details = {
+        "forwards": int(registry.counter("serve/forwards").value),
+        "batches": int(registry.counter("serve/batches").value),
+        "mean_batch_size": float(registry.histogram("serve/batch_size").mean),
+        "cache_hits": cache_hits,
+        "cache_hit_ratio": float(cache_hits / answered) if answered else 0.0,
+    }
+    return report
 
 
 def compare_batched_sequential(
@@ -187,7 +400,6 @@ def compare_batched_sequential(
         with engine:
             reports[mode] = run_load(
                 engine,
-                mode=mode,
                 num_clients=num_clients,
                 requests_per_client=requests_per_client,
                 seed=seed,
@@ -207,53 +419,6 @@ def compare_batched_sequential(
 # ----------------------------------------------------------------------
 # Chaos soak
 # ----------------------------------------------------------------------
-@dataclass
-class SoakReport:
-    """Outcome of one chaos soak: availability, tagging, crash count."""
-
-    requests: int  # total requests issued (observe + forecast)
-    forecasts: int
-    ok: int  # 2xx responses
-    degraded: int  # 200s answered by a fallback rung
-    rejected: int  # 429s (load shedding / saturation)
-    client_errors: int  # other 4xx
-    server_errors: int  # 5xx
-    crashes: int  # exceptions escaping the request path
-    untagged_degraded: int  # degraded 200s missing header or body tag
-    availability: float  # non-5xx share of all responses
-    duration_s: float
-    fault_plan: dict = field(default_factory=dict)
-    injected: dict = field(default_factory=dict)
-    fallback: dict = field(default_factory=dict)
-    #: sensor-drop scenario JSON ({"pattern", "name", "seed", "params"})
-    #: when the plan used a named MissingPattern — the same scenario the
-    #: offline gauntlet consumes, so a soak reproduces by name + seed.
-    scenario: dict | None = None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    def render(self) -> str:
-        lines = [
-            f"chaos soak: {self.requests} requests "
-            f"({self.forecasts} forecasts) in {self.duration_s:.2f}s",
-            f"  availability       {self.availability:.2%} "
-            f"({self.server_errors} server errors, {self.crashes} crashes)",
-            f"  degraded answers   {self.degraded} "
-            f"({self.untagged_degraded} missing tags)",
-            f"  rejected (backoff) {self.rejected}   "
-            f"client errors {self.client_errors}",
-            f"  injected faults    {json.dumps(self.injected, sort_keys=True)}",
-            f"  fallback rungs     {json.dumps(self.fallback, sort_keys=True)}",
-        ]
-        if self.scenario:
-            lines.append(
-                f"  drop scenario      {self.scenario.get('name')} "
-                f"({self.scenario.get('pattern')}, seed {self.scenario.get('seed')})"
-            )
-        return "\n".join(lines)
-
-
 def make_chaos_app(
     bundle: ModelBundle,
     plan: FaultPlan,
@@ -267,8 +432,6 @@ def make_chaos_app(
     trusts (model forward, observation path); everything else is the
     production request path.
     """
-    from .http import ServeApp  # here to avoid a module-import cycle
-
     config = config if config is not None else ServeConfig()
     registry = registry if registry is not None else MetricRegistry()
     injector = plan.injector()
@@ -294,133 +457,65 @@ def run_chaos_soak(
     num_clients: int = 4,
     requests_per_client: int = 50,
     seed: int = 0,
-    value_scale: float = 60.0,
     injector=None,
-) -> SoakReport:
-    """Soak ``app`` with concurrent clients while faults fire.
+) -> LoadReport:
+    """Soak ``app`` with concurrent sensor observe/forecast clients.
 
-    Each client alternates ``POST /observe`` (one sensor reading) with
-    ``GET /forecast`` through ``app.handle`` — the full routing, error
-    mapping and header path, minus sockets. Asserting on the report:
-    ``crashes`` must be 0 and ``availability`` at target; every degraded
-    200 must carry both the ``X-Degraded`` header and the body field
-    (``untagged_degraded`` counts violations).
+    Runs the full routing, error mapping and header path, minus sockets.
+    Asserting on the report: ``crashes`` must be 0 and ``availability``
+    at target; ``untagged_degraded`` counts degraded 200s missing their
+    ``X-Degraded`` header or body tag. ``details`` carries the fallback
+    rungs taken and, given the ``injector``, the fault plan, the faults
+    that fired and the sensor-drop scenario (``{"pattern", "name",
+    "seed", "params"}`` — the same JSON the offline gauntlet consumes,
+    so a soak reproduces by name + seed).
     """
     store = app.store
-    counts = [
-        {
-            "requests": 0, "forecasts": 0, "ok": 0, "degraded": 0,
-            "rejected": 0, "client_errors": 0, "server_errors": 0,
-            "crashes": 0, "untagged_degraded": 0,
-        }
-        for _ in range(num_clients)
-    ]
-    next_step = [store.newest_step + 1]
-    step_lock = threading.Lock()
-    start_barrier = threading.Barrier(num_clients + 1)
-
-    def tally(c: dict, response, is_forecast: bool) -> None:
-        c["requests"] += 1
-        status = response.status
-        if status >= 500:
-            c["server_errors"] += 1
-        elif status == 429:
-            c["rejected"] += 1
-        elif status >= 400:
-            c["client_errors"] += 1
-        else:
-            c["ok"] += 1
-            if is_forecast:
-                degraded = response.body.get("degraded")
-                if degraded:
-                    c["degraded"] += 1
-                    if response.headers.get("X-Degraded") != degraded:
-                        c["untagged_degraded"] += 1
-                elif response.headers.get("X-Degraded"):
-                    c["untagged_degraded"] += 1
-
-    def client(idx: int) -> None:
-        c = counts[idx]
-        rng = np.random.default_rng(seed + idx)
-        start_barrier.wait()
-        for _ in range(requests_per_client):
-            with step_lock:
-                step = next_step[0]
-                next_step[0] += 1
-            node = int(rng.integers(store.num_nodes))
-            features = rng.normal(value_scale, 5.0, size=store.num_features)
-            body = json.dumps(
-                {"step": step, "node": node, "features": features.tolist()}
-            ).encode()
-            try:
-                tally(c, app.handle("POST", "/observe", body), False)
-            except Exception:
-                c["requests"] += 1
-                c["crashes"] += 1
-            try:
-                tally(c, app.handle("GET", "/forecast", None), True)
-            except Exception:
-                c["requests"] += 1
-                c["crashes"] += 1
-            c["forecasts"] += 1
-
-    threads = [
-        threading.Thread(target=client, args=(idx,), daemon=True)
-        for idx in range(num_clients)
-    ]
-    for thread in threads:
-        thread.start()
-    app.engine.start()
-    start_barrier.wait()
-    begin = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    duration = time.perf_counter() - begin
-    app.engine.stop()
-
-    total = {key: sum(c[key] for c in counts) for key in counts[0]}
-    registry = app.registry
+    with app.engine:
+        report = drive(
+            app.handle,
+            *sensor_traffic(store.num_nodes, store.num_features),
+            num_clients=num_clients,
+            rounds=requests_per_client,
+            seed=seed,
+            start_step=store.newest_step + 1,
+        )
 
     def count(name: str) -> int:
-        return int(registry.counter(name).value)
+        return int(app.registry.counter(name).value)
 
-    answered = total["requests"]
-    bad = total["server_errors"] + total["crashes"]
-    return SoakReport(
-        requests=answered,
-        forecasts=total["forecasts"],
-        ok=total["ok"],
-        degraded=total["degraded"],
-        rejected=total["rejected"],
-        client_errors=total["client_errors"],
-        server_errors=total["server_errors"],
-        crashes=total["crashes"],
-        untagged_degraded=total["untagged_degraded"],
-        availability=float(1.0 - bad / answered) if answered else 1.0,
-        duration_s=float(duration),
-        fault_plan=(
-            injector.plan.to_json_dict() if injector is not None else {}
-        ),
-        scenario=injector.plan.scenario if injector is not None else None,
-        injected=injector.snapshot() if injector is not None else {},
-        fallback={
-            "stale": count('serve/fallback{rung="stale"}'),
-            "window_mean": count('serve/fallback{rung="window_mean"}'),
-            "unavailable": count("serve/unavailable"),
-            "shed": count("serve/shed"),
-        },
-    )
+    if injector is not None:
+        report.details["fault_plan"] = injector.plan.to_json_dict()
+        report.details["injected"] = injector.snapshot()
+        if injector.plan.scenario:
+            report.details["scenario"] = injector.plan.scenario
+    report.details["fallback"] = {
+        "stale": count('serve/fallback{rung="stale"}'),
+        "window_mean": count('serve/fallback{rung="window_mean"}'),
+        "unavailable": count("serve/unavailable"),
+        "shed": count("serve/shed"),
+    }
+    return report
 
 
 # ----------------------------------------------------------------------
-# Fleet smoke
+# Fleet and SLO smokes
 # ----------------------------------------------------------------------
+def _warm(pool, tenant: str, rng: np.random.Generator) -> None:
+    """Fill ``tenant``'s window with ``input_length`` full-network steps."""
+    store = pool.runtime(tenant).store
+    for offset in range(store.input_length):
+        values = rng.normal(
+            VALUE_SCALE, 5.0, size=(store.num_nodes, store.num_features)
+        )
+        pool.observe(tenant, offset, values)
+
+
 def run_fleet_smoke(
     bundle_a: ModelBundle,
     bundle_b: ModelBundle,
     rounds: int = 120,
     seed: int = 0,
-    value_scale: float = 60.0,
     registry: MetricRegistry | None = None,
 ) -> dict:
     """End-to-end fleet exercise: two tenants, shadow, canary, quota.
@@ -442,7 +537,6 @@ def run_fleet_smoke(
     """
     from .config import CanaryConfig, ShadowConfig
     from .fleet import EnginePool
-    from .http import ServeApp
 
     registry = registry if registry is not None else MetricRegistry()
     pool = EnginePool(registry=registry)
@@ -453,50 +547,24 @@ def run_fleet_smoke(
         quota_rps=0.001, quota_burst=3.0,
     )
     app = ServeApp(pool=pool)
+    phases = itertools.count(seed)
 
-    rng = np.random.default_rng(seed)
-    next_step: dict[str, int] = {}
-
-    def warm(tenant: str) -> None:
-        runtime = pool.runtime(tenant)
-        store = runtime.store
-        for offset in range(store.input_length):
-            values = rng.normal(
-                value_scale, 5.0, size=(store.num_nodes, store.num_features)
-            )
-            pool.observe(tenant, offset, values)
-        next_step[tenant] = store.newest_step + 1
-
-    def drive(tenant: str, n: int) -> dict:
-        counts = {"ok": 0, "rejected": 0, "server_errors": 0, "other": 0}
-        runtime = pool.runtime(tenant)
-        retry_after = None
-        for _ in range(n):
-            step = next_step[tenant]
-            next_step[tenant] += 1
-            values = rng.normal(
-                value_scale, 5.0,
-                size=(runtime.store.num_nodes, runtime.store.num_features),
-            )
-            body = json.dumps({"step": step, "values": values.tolist()}).encode()
-            app.handle("POST", f"/t/{tenant}/observe", body)
-            response = app.handle("GET", f"/t/{tenant}/forecast", None)
-            if response.status == 200:
-                counts["ok"] += 1
-            elif response.status == 429:
-                counts["rejected"] += 1
-                retry_after = response.headers.get("Retry-After")
-            elif response.status >= 500:
-                counts["server_errors"] += 1
-            else:
-                counts["other"] += 1
-        counts["retry_after"] = retry_after
-        return counts
+    def traffic(tenant: str, n: int) -> dict:
+        store = pool.runtime(tenant).store
+        return drive(
+            app.handle,
+            _network_observe(f"/t/{tenant}", store),
+            f"/t/{tenant}/forecast",
+            rounds=n,
+            seed=next(phases),
+            start_step=store.newest_step + 1,
+        ).to_json_dict()
 
     report: dict = {"rounds": rounds, "seed": seed}
     with pool:
+        warm_rng = np.random.default_rng(seed)
         for tenant in ("alpha", "beta", "gamma"):
-            warm(tenant)
+            _warm(pool, tenant, warm_rng)
 
         # 1+2: shadow on alpha while beta's clean canary promotes.
         pool.start_shadow(
@@ -511,8 +579,8 @@ def run_fleet_smoke(
             ),
             bundle=bundle_a,
         )
-        report["alpha_traffic"] = drive("alpha", rounds)
-        report["beta_traffic"] = drive("beta", rounds)
+        report["alpha_traffic"] = traffic("alpha", rounds)
+        report["beta_traffic"] = traffic("beta", rounds)
         pool.drain_shadow()
         report["shadow"] = pool.stop_shadow("alpha")
         beta = pool.runtime("beta")
@@ -533,7 +601,7 @@ def run_fleet_smoke(
             bundle=bundle_b,
             model=ChaosModel(bundle_b.model, injector),
         )
-        report["alpha_chaos_traffic"] = drive("alpha", rounds)
+        report["alpha_chaos_traffic"] = traffic("alpha", rounds)
         alpha = pool.runtime("alpha")
         report["canary_chaos"] = (
             alpha.canary.snapshot() if alpha.canary is not None else None
@@ -541,7 +609,7 @@ def run_fleet_smoke(
         report["chaos_injected"] = injector.snapshot()
 
         # 4: quota exhaustion returns 429 + Retry-After.
-        report["gamma_traffic"] = drive("gamma", 8)
+        report["gamma_traffic"] = traffic("gamma", 8)
 
         # 5: per-tenant series in the exposition.
         metrics = app.handle("GET", "/metrics", None).body.body
@@ -574,20 +642,26 @@ def run_fleet_smoke(
             and report["gamma_traffic"]["retry_after"] is not None
         ),
         "per_tenant_metrics": not report["missing_series"],
+        "no_crashes": _no_crashes(report),
     }
     report["checks"] = checks
     report["passed"] = all(checks.values())
     return report
 
 
-# ----------------------------------------------------------------------
-# SLO smoke
-# ----------------------------------------------------------------------
+def _no_crashes(report: dict) -> bool:
+    """No request of any ``*_traffic`` phase raised out of ``handle``."""
+    return all(
+        phase["crashes"] == 0
+        for key, phase in report.items()
+        if key.endswith("_traffic")
+    )
+
+
 def run_slo_smoke(
     bundle: ModelBundle,
     rounds: int = 30,
     seed: int = 0,
-    value_scale: float = 60.0,
     registry: MetricRegistry | None = None,
 ) -> dict:
     """Seeded-fault SLO exercise: a burn event fires, clears, and gates a canary.
@@ -619,7 +693,6 @@ def run_slo_smoke(
     from ..telemetry.slo import BurnRule, SLOEngine, default_serving_objectives
     from .config import CanaryConfig
     from .fleet import EnginePool
-    from .http import ServeApp
 
     registry = registry if registry is not None else MetricRegistry()
 
@@ -668,33 +741,23 @@ def run_slo_smoke(
         store=store, engine=engine,
     )
     app = ServeApp(pool=pool, slo=slo)
+    phases = itertools.count(seed)
 
-    rng = np.random.default_rng(seed)
-    runtime = pool.runtime("alpha")
-    next_step = [0]
+    network_observe = _network_observe("/t/alpha", store)
 
-    def drive(n: int, tick_s: float = 2.0) -> dict:
-        counts = {"ok": 0, "degraded": 0, "rejected": 0, "server_errors": 0}
-        for _ in range(n):
+    def traffic(n: int, tick_s: float = 2.0) -> dict:
+        def observe(rng, step):  # one SLO-clock tick per round
             clock[0] += tick_s
-            step = next_step[0]
-            next_step[0] += 1
-            values = rng.normal(
-                value_scale, 5.0,
-                size=(runtime.store.num_nodes, runtime.store.num_features),
-            )
-            body = json.dumps({"step": step, "values": values.tolist()}).encode()
-            app.handle("POST", "/t/alpha/observe", body)
-            response = app.handle("GET", "/t/alpha/forecast", None)
-            if response.status == 200:
-                counts["ok"] += 1
-                if response.headers.get("X-Degraded"):
-                    counts["degraded"] += 1
-            elif response.status == 429:
-                counts["rejected"] += 1
-            elif response.status >= 500:
-                counts["server_errors"] += 1
-        return counts
+            return network_observe(rng, step)
+
+        return drive(
+            app.handle,
+            observe,
+            "/t/alpha/forecast",
+            rounds=n,
+            seed=next(phases),
+            start_step=store.newest_step + 1,
+        ).to_json_dict()
 
     def series_value(text: str, series: str) -> float | None:
         for line in text.splitlines():
@@ -704,21 +767,15 @@ def run_slo_smoke(
 
     report: dict = {"rounds": rounds, "seed": seed}
     with pool:
-        for offset in range(runtime.store.input_length):
-            values = rng.normal(
-                value_scale, 5.0,
-                size=(runtime.store.num_nodes, runtime.store.num_features),
-            )
-            pool.observe("alpha", offset, values)
-        next_step[0] = runtime.store.newest_step + 1
+        _warm(pool, "alpha", np.random.default_rng(seed))
 
         # 1: clean traffic leaves every objective quiet.
-        report["healthy_traffic"] = drive(rounds)
+        report["healthy_traffic"] = traffic(rounds)
         report["healthy_burning"] = slo.burning()
 
         # 2: seeded fault — forecasts degrade, a burn event must fire.
         injector.plan = FaultPlan(seed=seed, error_rate=0.9)
-        report["fault_traffic"] = drive(rounds)
+        report["fault_traffic"] = traffic(rounds)
         report["burning_during_fault"] = slo.burning()
         during = app.handle("GET", "/metrics", None).body.body
         report["burning_gauges_during_fault"] = {
@@ -735,7 +792,7 @@ def run_slo_smoke(
         # the short-window burn rate collapses to 0 and the event clears.
         injector.plan = FaultPlan(seed=seed)
         clock[0] += 120.0
-        report["recovery_traffic"] = drive(rounds, tick_s=1.0)
+        report["recovery_traffic"] = traffic(rounds, tick_s=1.0)
         report["burning_after_recovery"] = slo.burning()
         report["burn_events_total"] = sum(
             tracker.fired_total for tracker in slo.trackers.values()
@@ -760,8 +817,8 @@ def run_slo_smoke(
             bundle=bundle,
             model=ChaosModel(bundle.model, canary_injector),
         )
-        report["canary_traffic"] = drive(rounds)
-        canary = runtime.canary
+        report["canary_traffic"] = traffic(rounds)
+        canary = pool.runtime("alpha").canary
         report["canary"] = canary.snapshot() if canary is not None else None
 
         slo_response = app.handle("GET", "/slo", None)
@@ -819,253 +876,8 @@ def run_slo_smoke(
             and report["canary_burn_events_series"] >= 1.0
         ),
         "slo_series_on_metrics": not report["missing_series"],
+        "no_crashes": _no_crashes(report),
     }
     report["checks"] = checks
     report["passed"] = all(checks.values())
     return report
-
-
-# ----------------------------------------------------------------------
-# Arrival processes and node popularity (cluster load generation)
-# ----------------------------------------------------------------------
-def open_loop_arrivals(
-    rate_rps: float,
-    count: int | None = None,
-    duration_s: float | None = None,
-    seed: int = 0,
-    start: float = 0.0,
-):
-    """Yield absolute arrival times of a Poisson process (open loop).
-
-    Closed-loop clients wait for each response before sending the next
-    request, so a slow server quietly throttles its own load. An
-    open-loop process fires at externally scheduled instants regardless
-    of server progress — the standard model for independent users — so
-    overload shows up as queueing rather than vanishing. Inter-arrival
-    gaps are exponential with mean ``1/rate_rps``; bound the stream with
-    ``count`` and/or ``duration_s``.
-    """
-    if rate_rps <= 0:
-        raise ValueError(f"rate_rps must be positive, got {rate_rps}")
-    if count is None and duration_s is None:
-        raise ValueError("bound the stream with count and/or duration_s")
-    rng = np.random.default_rng(seed)
-    t = float(start)
-    emitted = 0
-    while count is None or emitted < count:
-        t += float(rng.exponential(1.0 / rate_rps))
-        if duration_s is not None and t - start > duration_s:
-            return
-        yield t
-        emitted += 1
-
-
-def zipf_node_sampler(
-    num_nodes: int,
-    exponent: float = 1.1,
-    seed: int = 0,
-):
-    """Zipf-skewed node popularity: returns ``sample(size=None)``.
-
-    Rank ``r`` (1-based) carries weight ``r**-exponent``; ranks are
-    mapped onto node ids through a seeded permutation so the hot nodes
-    are not simply the low ids (which would all land on shard 0 under a
-    contiguous partition). ``sample()`` returns one ``int`` node id;
-    ``sample(k)`` an ``ndarray`` of ``k`` ids. The sampler also exposes
-    ``sample.weights`` (per-node probability, id order) for tests.
-    """
-    if num_nodes < 1:
-        raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-    if exponent < 0:
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
-    ranks = np.arange(1, num_nodes + 1, dtype=np.float64)
-    rank_weights = ranks ** -float(exponent)
-    rank_weights /= rank_weights.sum()
-    rng = np.random.default_rng(seed)
-    node_of_rank = rng.permutation(num_nodes)
-    weights = np.zeros(num_nodes)
-    weights[node_of_rank] = rank_weights
-
-    def sample(size: int | None = None):
-        picked = node_of_rank[rng.choice(num_nodes, size=size, p=rank_weights)]
-        return int(picked) if size is None else picked
-
-    sample.weights = weights
-    sample.node_of_rank = node_of_rank
-    return sample
-
-
-@dataclass
-class ClusterLoadReport:
-    """Aggregate result of one cluster load run (open or closed loop)."""
-
-    mode: str  # "closed" | "open"
-    num_clients: int
-    requests: int
-    forecasts: int
-    ok: int
-    degraded: int
-    rejected: int
-    client_errors: int
-    server_errors: int
-    crashes: int
-    availability: float  # non-5xx, non-crash share
-    duration_s: float
-    throughput_rps: float
-    offered_rps: float  # scheduled rate (open) or achieved rate (closed)
-    latency_ms_mean: float
-    latency_ms_p50: float
-    latency_ms_p95: float
-    latency_ms_p99: float
-    schedule_lag_ms_p99: float  # how far behind the open-loop schedule ran
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def run_cluster_load(
-    handle,
-    num_nodes: int,
-    num_features: int,
-    mode: str = "closed",
-    num_clients: int = 4,
-    requests_per_client: int = 50,
-    rate_rps: float = 200.0,
-    zipf_exponent: float = 1.1,
-    horizon: int | None = None,
-    seed: int = 0,
-    value_scale: float = 60.0,
-    start_step: int = 0,
-) -> ClusterLoadReport:
-    """Drive any ``handle(method, path, body)`` endpoint with cluster load.
-
-    ``handle`` is the in-process request surface shared by
-    :class:`~repro.serve.http.ServeApp`, the shard apps and the cluster
-    router (an HTTP client wrapper works too). Clients interleave
-    ``POST /observe`` for a zipf-popular sensor at an advancing shared
-    step with ``GET /forecast?node=<id>`` for another zipf draw —
-    closed-loop (back-to-back, measures capacity) or open-loop (Poisson
-    schedule at ``rate_rps`` across all clients, measures behaviour at
-    a fixed offered load).
-    """
-    if mode not in ("closed", "open"):
-        raise ValueError(f"mode must be 'closed' or 'open', got {mode!r}")
-    total_requests = num_clients * requests_per_client
-    sampler = zipf_node_sampler(num_nodes, exponent=zipf_exponent, seed=seed)
-    schedule = (
-        list(open_loop_arrivals(rate_rps, count=total_requests, seed=seed + 1))
-        if mode == "open"
-        else None
-    )
-    cursor = [0]  # shared request index
-    next_step = [start_step]
-    lock = threading.Lock()
-    start_barrier = threading.Barrier(num_clients + 1)
-    begin_holder = [0.0]
-    horizon_query = f"&horizon={horizon}" if horizon else ""
-
-    counts = [
-        {
-            "requests": 0, "forecasts": 0, "ok": 0, "degraded": 0,
-            "rejected": 0, "client_errors": 0, "server_errors": 0,
-            "crashes": 0,
-        }
-        for _ in range(num_clients)
-    ]
-    latencies: list[list[float]] = [[] for _ in range(num_clients)]
-    lags: list[list[float]] = [[] for _ in range(num_clients)]
-
-    def tally(c: dict, response, is_forecast: bool) -> None:
-        status = response.status
-        if status >= 500:
-            c["server_errors"] += 1
-        elif status == 429:
-            c["rejected"] += 1
-        elif status >= 400:
-            c["client_errors"] += 1
-        else:
-            c["ok"] += 1
-            if is_forecast and response.headers.get("X-Degraded"):
-                c["degraded"] += 1
-
-    def client(idx: int) -> None:
-        c = counts[idx]
-        rng = np.random.default_rng(seed + 1000 + idx)
-        start_barrier.wait()
-        while True:
-            with lock:
-                i = cursor[0]
-                if i >= total_requests:
-                    return
-                cursor[0] += 1
-                is_observe = i % 2 == 0
-                if is_observe:
-                    step = next_step[0]
-                    next_step[0] += 1
-            if schedule is not None:
-                target = begin_holder[0] + schedule[i]
-                delay = target - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-                lags[idx].append(
-                    max(0.0, (time.perf_counter() - target)) * 1e3
-                )
-            node = sampler()
-            issued = time.perf_counter()
-            try:
-                if is_observe:
-                    features = rng.normal(value_scale, 5.0, size=num_features)
-                    body = json.dumps(
-                        {"step": step, "node": node, "features": features.tolist()}
-                    ).encode()
-                    tally(c, handle("POST", "/observe", body), False)
-                else:
-                    c["forecasts"] += 1
-                    path = f"/forecast?node={node}{horizon_query}"
-                    tally(c, handle("GET", path, None), True)
-            except Exception:
-                c["crashes"] += 1
-            c["requests"] += 1
-            latencies[idx].append((time.perf_counter() - issued) * 1e3)
-
-    threads = [
-        threading.Thread(target=client, args=(idx,), daemon=True)
-        for idx in range(num_clients)
-    ]
-    for thread in threads:
-        thread.start()
-    start_barrier.wait()
-    begin_holder[0] = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    duration = time.perf_counter() - begin_holder[0]
-
-    total = {key: sum(c[key] for c in counts) for key in counts[0]}
-    flat = np.array([ms for per in latencies for ms in per])
-    flat_lag = np.array([ms for per in lags for ms in per])
-    answered = total["requests"]
-    bad = total["server_errors"] + total["crashes"]
-    achieved = float(answered / duration) if duration > 0 else 0.0
-    return ClusterLoadReport(
-        mode=mode,
-        num_clients=num_clients,
-        requests=answered,
-        forecasts=total["forecasts"],
-        ok=total["ok"],
-        degraded=total["degraded"],
-        rejected=total["rejected"],
-        client_errors=total["client_errors"],
-        server_errors=total["server_errors"],
-        crashes=total["crashes"],
-        availability=float(1.0 - bad / answered) if answered else 1.0,
-        duration_s=float(duration),
-        throughput_rps=achieved,
-        offered_rps=float(rate_rps) if mode == "open" else achieved,
-        latency_ms_mean=float(flat.mean()) if flat.size else 0.0,
-        latency_ms_p50=float(np.percentile(flat, 50)) if flat.size else 0.0,
-        latency_ms_p95=float(np.percentile(flat, 95)) if flat.size else 0.0,
-        latency_ms_p99=float(np.percentile(flat, 99)) if flat.size else 0.0,
-        schedule_lag_ms_p99=(
-            float(np.percentile(flat_lag, 99)) if flat_lag.size else 0.0
-        ),
-    )

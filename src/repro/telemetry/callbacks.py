@@ -7,8 +7,7 @@ every event, so earlier callbacks can populate state later ones read.
 
 Built-ins:
 
-* :class:`EpochLogger` — human-readable per-epoch progress line (the
-  replacement for the removed ``TrainerConfig.verbose`` print);
+* :class:`EpochLogger` — human-readable per-epoch progress line;
 * :class:`JSONLRunRecorder` — machine-readable run file, one JSON object
   per line (run header, one record per epoch, final summary);
 * :class:`Profiler` — activates the autodiff op profiler for one chosen

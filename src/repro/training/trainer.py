@@ -14,13 +14,12 @@ does no extra work beyond what the history records always cost.
 from __future__ import annotations
 
 import time
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..autodiff import no_grad
-from ..errors import ConfigError
 from ..datasets import BatchLoader, WindowSet
 from ..nn import JointLoss
 from ..optim import Adam, EarlyStopping, clip_grad_norm
@@ -31,17 +30,12 @@ from .metrics import masked_mae, masked_mape, masked_rmse
 __all__ = ["TrainerConfig", "TrainingHistory", "EvalReport", "Trainer"]
 
 
-#: sentinel distinguishing "not passed" from any user value of ``verbose``
-_VERBOSE_REMOVED = object()
-
-
 @dataclass
 class TrainerConfig:
     """Hyper-parameters for a training run (defaults per the paper).
 
-    ``verbose`` was removed in this release: pass
-    ``callbacks=[EpochLogger()]`` to :meth:`Trainer.fit` instead.
-    Setting it raises :class:`~repro.errors.ConfigError`.
+    Epoch logging is a callback: pass ``callbacks=[EpochLogger()]`` to
+    :meth:`Trainer.fit`.
     """
 
     learning_rate: float = 1e-3
@@ -53,14 +47,8 @@ class TrainerConfig:
     weight_decay: float = 0.0
     shuffle: bool = True
     seed: int = 0
-    verbose: InitVar[object] = _VERBOSE_REMOVED
 
-    def __post_init__(self, verbose):
-        if verbose is not _VERBOSE_REMOVED:
-            raise ConfigError(
-                "TrainerConfig.verbose was removed; pass "
-                "Trainer.fit(..., callbacks=[EpochLogger()]) to log epochs"
-            )
+    def __post_init__(self):
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
 

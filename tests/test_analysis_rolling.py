@@ -9,7 +9,7 @@ from repro.datasets import (
     gap_length_distribution,
     make_pems_dataset,
     make_stampede_dataset,
-    mcar_mask,
+    make_pattern,
     profile_missingness,
 )
 from repro.graphs import (
@@ -59,7 +59,7 @@ class TestGapLengths:
 class TestMissingnessProfile:
     def test_pems_mcar_profile(self):
         ds = make_pems_dataset(num_nodes=5, num_days=3, steps_per_day=96, seed=0)
-        ds = ds.with_mask(mcar_mask(ds.data.shape, 0.4, np.random.default_rng(1)))
+        ds = ds.with_mask(make_pattern("mcar", rate=0.4).mask(ds.data.shape, rng=np.random.default_rng(1)))
         profile = profile_missingness(ds)
         assert profile.missing_rate == pytest.approx(0.4, abs=0.02)
         # MCAR: per-hour missingness is flat.
@@ -140,7 +140,7 @@ class TestRollingForecast:
     @pytest.fixture(scope="class")
     def setting(self):
         ds = make_pems_dataset(num_nodes=4, num_days=3, steps_per_day=96, seed=0)
-        ds = ds.with_mask(mcar_mask(ds.data.shape, 0.3, np.random.default_rng(1)))
+        ds = ds.with_mask(make_pattern("mcar", rate=0.3).mask(ds.data.shape, rng=np.random.default_rng(1)))
         scaler = ZScoreScaler().fit(ds.data, ds.mask)
         from dataclasses import replace
 

@@ -184,14 +184,14 @@ class TestAttentionHead:
             self._model("pooling")
 
     def test_attention_model_trains(self):
-        from repro.datasets import make_pems_dataset, make_windows, mcar_mask
+        from repro.datasets import make_pems_dataset, make_windows, make_pattern
         from repro.training import Trainer, TrainerConfig
         from dataclasses import replace
 
         ds = make_pems_dataset(num_nodes=3, num_days=2, steps_per_day=96, seed=0)
         ds = replace(ds, data=ds.data[:, :, :2], mask=ds.mask[:, :, :2],
                      truth=ds.truth[:, :, :2], feature_names=ds.feature_names[:2])
-        ds = ds.with_mask(mcar_mask(ds.data.shape, 0.3, np.random.default_rng(1)))
+        ds = ds.with_mask(make_pattern("mcar", rate=0.3).mask(ds.data.shape, rng=np.random.default_rng(1)))
         windows = make_windows(ds, 6, 4, stride=6)
         trainer = Trainer(self._model("attention"),
                           TrainerConfig(max_epochs=3, batch_size=16))

@@ -13,12 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datasets import (
     MissingPattern,
-    block_mask,
-    combine_masks,
     make_pattern,
-    mcar_mask,
     pattern_names,
-    sensor_failure_mask,
 )
 from repro.errors import ConfigError, DataError
 from repro.reliability import FaultPlan
@@ -195,34 +191,3 @@ class TestChaosOfflineSharedPath:
         a = MissingPattern.from_json_dict(scenario)
         b = FaultPlan(dropped_sensors=scenario).drop_pattern
         assert np.array_equal(a.mask(SHAPE), b.mask(SHAPE))
-
-
-class TestDeprecatedShims:
-    def test_mcar_shim_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="make_pattern"):
-            old = mcar_mask(SHAPE, 0.4, np.random.default_rng(9))
-        new = make_pattern("mcar", rate=0.4).mask(
-            SHAPE, rng=np.random.default_rng(9)
-        )
-        assert np.array_equal(old, new)
-
-    def test_sensor_shim_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="make_pattern"):
-            old = sensor_failure_mask(SHAPE, 0.3, np.random.default_rng(9))
-        new = make_pattern("sensor", rate=0.3).mask(
-            SHAPE, rng=np.random.default_rng(9)
-        )
-        assert np.array_equal(old, new)
-
-    def test_block_shim_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="make_pattern"):
-            old = block_mask(SHAPE, 4, (5, 10), np.random.default_rng(9))
-        new = make_pattern("block", num_blocks=4, block_length=(5, 10)).mask(
-            SHAPE, rng=np.random.default_rng(9)
-        )
-        assert np.array_equal(old, new)
-
-    def test_combine_masks_shim_warns(self):
-        with pytest.warns(DeprecationWarning, match="intersect_masks"):
-            out = combine_masks(np.ones(3), np.zeros(3))
-        assert np.allclose(out, 0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import no_grad
-from repro.datasets import make_pems_dataset, make_windows, mcar_mask
+from repro.datasets import make_pems_dataset, make_windows, make_pattern
 from repro.graphs import build_heterogeneous_graphs, PartitionConfig, gaussian_kernel_adjacency
 from repro.models import (
     ASTGCN,
@@ -39,7 +39,7 @@ def env():
         feature_names=ds.feature_names[:D],
     )
     rng = np.random.default_rng(1)
-    masked = ds.with_mask(mcar_mask(ds.data.shape, 0.3, rng))
+    masked = ds.with_mask(make_pattern("mcar", rate=0.3).mask(ds.data.shape, rng=rng))
     windows = make_windows(masked, T_IN, T_OUT, stride=6)
     adjacency = gaussian_kernel_adjacency(ds.network.distances)
     graphs = build_heterogeneous_graphs(

@@ -215,8 +215,8 @@ class TestChaosSoak:
         assert report.availability >= 0.99
         assert report.untagged_degraded == 0
         assert report.requests == 3 * 15 * 2
-        assert report.injected["errors"] > 0  # the faults actually fired
-        assert "chaos soak" in report.render()
+        assert report.details["injected"]["errors"] > 0  # the faults actually fired
+        assert "availability" in report.render()
 
     def test_soak_report_carries_scenario(self, bundle):
         scenario = make_pattern(
@@ -227,7 +227,7 @@ class TestChaosSoak:
         report = run_chaos_soak(
             app, num_clients=1, requests_per_client=3, injector=injector
         )
-        assert report.scenario == scenario
+        assert report.details["scenario"] == scenario
         assert "flaky-loop" in report.render()
 
     def test_soak_without_fallback_shows_errors(self, bundle):

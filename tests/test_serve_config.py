@@ -1,4 +1,4 @@
-"""Tests for ServeConfig and the deprecation shims (repro.serve.config)."""
+"""Tests for ServeConfig (repro.serve.config)."""
 
 import argparse
 
@@ -110,8 +110,8 @@ class TestFromArgs:
 
 
 class TestRemovedShims:
-    """The PR-5 deprecation shims are gone: each former warning is now a
-    hard error whose message names the replacement."""
+    """Tuning lives on ServeConfig only: the old loose kwargs of ServeApp,
+    make_server and run_server are not accepted."""
 
     @pytest.fixture()
     def app_bundle(self, tiny_ctx, tmp_path):
@@ -122,16 +122,6 @@ class TestRemovedShims:
         base = str(tmp_path / "bundle")
         export_bundle(model, "FC-LSTM-I", tiny_ctx, base)
         return load_bundle(base)
-
-    def test_legacy_engine_kwargs_raise_with_migration_hint(self, app_bundle):
-        from repro.serve import ServeApp
-        from repro.telemetry import MetricRegistry
-
-        with pytest.raises(TypeError, match="ServeConfig"):
-            ServeApp(
-                app_bundle, registry=MetricRegistry(),
-                max_batch_size=2, cache_size=16,
-            )
 
     def test_unknown_kwargs_still_type_error(self, app_bundle):
         from repro.serve import ServeApp
@@ -156,7 +146,7 @@ class TestRemovedShims:
         from repro.telemetry import MetricRegistry
 
         app = ServeApp(app_bundle, registry=MetricRegistry())
-        with pytest.raises(TypeError, match="host/port"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'host'"):
             make_server(app, host="127.0.0.1", port=0)
 
     def test_run_server_host_port_args_raise(self, app_bundle):
@@ -164,7 +154,7 @@ class TestRemovedShims:
         from repro.telemetry import MetricRegistry
 
         app = ServeApp(app_bundle, registry=MetricRegistry())
-        with pytest.raises(TypeError, match="ServeConfig"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'port'"):
             run_server(app, port=8787)
 
     def test_make_server_binds_from_config(self, app_bundle):
@@ -178,12 +168,3 @@ class TestRemovedShims:
         finally:
             server.server_close()
             app.pool.stop()
-
-    def test_trainer_verbose_removed(self):
-        from repro.training import TrainerConfig
-
-        with pytest.raises(ConfigError, match="verbose was removed"):
-            TrainerConfig(verbose=True)
-        with pytest.raises(ConfigError, match="EpochLogger"):
-            TrainerConfig(verbose=False)
-        assert "verbose" not in TrainerConfig().__dict__

@@ -1,6 +1,7 @@
 """Tests for the HTTP serving layer (repro.serve.http)."""
 
 import json
+import socket
 import threading
 import urllib.request
 
@@ -181,3 +182,26 @@ class TestHTTPOfflineParity:
             server.shutdown()
             server.server_close()
             app.engine.stop()
+
+
+class TestContentLength:
+    """A malformed Content-Length gets a 400 JSON answer instead of a
+    dropped connection (non-integer) or a handler thread blocked in
+    ``rfile.read`` (negative)."""
+
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_bad_content_length_answered_400(self, server, value):
+        base, _ = server
+        host, port = base.rsplit("/", 1)[-1].split(":")
+        request = (
+            "POST /observe HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {value}\r\n\r\n"
+        ).encode()
+        raw = b""
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(request)
+            while chunk := sock.recv(4096):
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400"), raw
+        assert "Content-Length" in json.loads(body)["error"]

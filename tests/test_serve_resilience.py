@@ -146,14 +146,13 @@ class TestFallbackLadder:
 
 class TestResponseCompat:
     def test_response_tuple_unpacking_removed(self, bundle):
-        """The transitional ``(status, payload)`` unpacking is gone; the
-        error names the replacement attributes."""
+        """A Response is read by attribute, never unpacked as a tuple."""
         app, _ = make_app(bundle)
         response = app.handle("GET", "/healthz", None)
         assert isinstance(response, Response)
-        with pytest.raises(TypeError, match="no longer iterable"):
+        with pytest.raises(TypeError, match="non-iterable"):
             status, payload = response
-        with pytest.raises(TypeError, match="response.status"):
+        with pytest.raises(TypeError, match="not iterable"):
             tuple(response)
 
     def test_headers_default_empty(self):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.datasets import ZScoreScaler, make_pems_dataset, make_windows, mcar_mask
+from repro.datasets import ZScoreScaler, make_pems_dataset, make_windows, make_pattern
 from repro.graphs import gaussian_kernel_adjacency
 from repro.models import gcn_lstm
 from repro.telemetry import Callback, EpochLogger, JSONLRunRecorder, Profiler
@@ -17,7 +17,7 @@ from repro.training import EvalReport, Trainer, TrainerConfig
 def env():
     ds = make_pems_dataset(num_nodes=4, num_days=3, steps_per_day=96, seed=0)
     rng = np.random.default_rng(1)
-    masked = ds.with_mask(mcar_mask(ds.data.shape, 0.3, rng))
+    masked = ds.with_mask(make_pattern("mcar", rate=0.3).mask(ds.data.shape, rng=rng))
     scaler = ZScoreScaler().fit(masked.data, masked.mask)
     from dataclasses import replace
 
@@ -142,17 +142,9 @@ class TestEpochLogger:
 
 
 class TestVerboseRemoved:
-    def test_verbose_raises_config_error_with_hint(self):
-        from repro.errors import ConfigError
-
-        for value in (True, False):
-            with pytest.raises(ConfigError, match="EpochLogger"):
-                TrainerConfig(max_epochs=1, batch_size=64, verbose=value)
-
     def test_default_construction_is_clean(self, env, recwarn):
         wtr, _, adjacency, _ = env
         config = TrainerConfig(max_epochs=1, batch_size=64)
-        assert "verbose" not in config.__dict__  # InitVar leaves no field
         trainer = Trainer(small_model(adjacency), config)
         trainer.fit(wtr, None)
         assert not any(issubclass(w.category, DeprecationWarning)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datasets import ZScoreScaler, make_pems_dataset, make_windows, mcar_mask
+from repro.datasets import ZScoreScaler, make_pems_dataset, make_windows, make_pattern
 from repro.graphs import gaussian_kernel_adjacency
 from repro.models import fc_lstm_i, gcn_lstm
 from repro.training import (
@@ -71,7 +71,7 @@ class TestMetrics:
 def training_env():
     ds = make_pems_dataset(num_nodes=4, num_days=3, steps_per_day=96, seed=0)
     rng = np.random.default_rng(1)
-    masked = ds.with_mask(mcar_mask(ds.data.shape, 0.3, rng))
+    masked = ds.with_mask(make_pattern("mcar", rate=0.3).mask(ds.data.shape, rng=rng))
     scaler = ZScoreScaler().fit(masked.data, masked.mask)
     from dataclasses import replace
 
