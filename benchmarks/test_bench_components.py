@@ -18,7 +18,7 @@ from repro.graphs import (
     chebyshev_polynomials,
     gaussian_kernel_adjacency,
 )
-from repro.nn import ChebConv, LSTMCell
+from repro.nn import ChebConv, LSTMCell, chebyshev_basis
 
 pytestmark = pytest.mark.bench
 
@@ -146,11 +146,11 @@ def test_chebconv_dense_large_graph(benchmark):
 
 
 def test_chebconv_sparse_large_graph(benchmark):
-    """CSR propagation at 300 nodes — the ring Laplacian is ~1% dense, so
-    this should outperform the dense variant by a wide margin."""
-    adj = _ring(300)
-    conv = ChebConv(8, 8, chebyshev_polynomials(adj, 3), sparse=True,
-                    rng=np.random.default_rng(0))
-    x = Tensor(RNG.normal(size=(16, 300, 8)))
+    """CSR propagation at 2048 nodes: the ring basis is ~0.2% dense, so
+    the automatic choice (``chebyshev_basis``) stores it sparse."""
+    adj = _ring(2048)
+    conv = ChebConv(8, 8, chebyshev_basis(adj, 3), rng=np.random.default_rng(0))
+    assert not isinstance(conv._basis.forward_basis, np.ndarray)
+    x = Tensor(RNG.normal(size=(16, 2048, 8)))
     out = benchmark(lambda: conv(x))
-    assert out.shape == (16, 300, 8)
+    assert out.shape == (16, 2048, 8)

@@ -403,7 +403,7 @@ def _supports_out(fnspec) -> bool:
     if kind == "ufunc":
         return fnspec[2] in ("__call__", "reduce")
     if kind == "func":
-        return fnspec[1] in (np.concatenate, np.stack)
+        return fnspec[1] in (np.concatenate, np.stack, np.take)
     return False
 
 

@@ -20,6 +20,7 @@ from .laplacian import (
     max_eigenvalue,
     normalized_laplacian,
     scaled_laplacian,
+    sparse_chebyshev_polynomials,
 )
 from .partition import (
     PartitionConfig,
@@ -40,6 +41,7 @@ __all__ = [
     "normalized_laplacian",
     "scaled_laplacian",
     "chebyshev_polynomials",
+    "sparse_chebyshev_polynomials",
     "max_eigenvalue",
     "PartitionConfig",
     "TimelinePartition",

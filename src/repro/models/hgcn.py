@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Tensor, default_dtype
-from ..graphs import HeterogeneousGraphSet, chebyshev_polynomials
-from ..nn import ChebConv, Linear, Module, ModuleList
+from ..graphs import HeterogeneousGraphSet
+from ..nn import ChebConv, Linear, Module, ModuleList, chebyshev_basis
 
 __all__ = ["SpatialEncoder", "LinearEncoder", "GCNEncoder", "HGCNBlock"]
 
@@ -66,8 +66,8 @@ class GCNEncoder(SpatialEncoder):
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        stack = chebyshev_polynomials(adjacency, cheb_order)
-        self.conv = ChebConv(in_channels, out_channels, stack, rng=rng)
+        self.conv = ChebConv(in_channels, out_channels,
+                             chebyshev_basis(adjacency, cheb_order), rng=rng)
 
     def forward(self, x: Tensor, weights: np.ndarray | None = None) -> Tensor:
         return self.conv(x).relu()
@@ -98,11 +98,11 @@ class HGCNBlock(SpatialEncoder):
         self.graphs = graphs
         self.geo_conv = ChebConv(
             in_channels, out_channels,
-            chebyshev_polynomials(graphs.geographic, cheb_order), rng=rng,
+            chebyshev_basis(graphs.geographic, cheb_order), rng=rng,
         )
         self.temporal_convs = ModuleList(
             ChebConv(in_channels, out_channels,
-                     chebyshev_polynomials(adj, cheb_order), rng=rng)
+                     chebyshev_basis(adj, cheb_order), rng=rng)
             for adj in graphs.temporal
         )
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Tensor, concat, default_dtype, stack
-from ..graphs import chebyshev_polynomials
-from ..nn import ChebConv, Linear, LSTMCell
+from ..nn import ChebConv, Linear, LSTMCell, chebyshev_basis
 from .base import ForecastOutput, NeuralForecaster
 
 __all__ = ["SpatioTemporalForecaster", "fc_lstm", "fc_gcn", "gcn_lstm"]
@@ -54,8 +53,8 @@ class SpatioTemporalForecaster(NeuralForecaster):
         if spatial == "gcn":
             if adjacency is None:
                 raise ValueError("spatial='gcn' requires an adjacency matrix")
-            stack_mat = chebyshev_polynomials(adjacency, cheb_order)
-            self.encoder = ChebConv(num_features, embed_dim, stack_mat, rng=rng)
+            self.encoder = ChebConv(num_features, embed_dim,
+                                    chebyshev_basis(adjacency, cheb_order), rng=rng)
         elif spatial == "none":
             self.encoder = Linear(num_features, embed_dim, rng=rng)
         else:

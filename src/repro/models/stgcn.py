@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor, default_dtype
-from ..graphs import chebyshev_polynomials
-from ..nn import ChebConv, GatedTCNBlock, Linear, Module
+from ..autodiff import ChebBasis, Tensor, default_dtype
+from ..nn import ChebConv, GatedTCNBlock, Linear, Module, chebyshev_basis
 from .base import ForecastOutput, NeuralForecaster
 
 __all__ = ["STGCN"]
@@ -27,7 +26,7 @@ class _STConvBlock(Module):
         in_channels: int,
         spatial_channels: int,
         out_channels: int,
-        cheb_stack: np.ndarray,
+        cheb_stack: ChebBasis,
         kernel_size: int,
         rng: np.random.Generator,
     ):
@@ -71,7 +70,7 @@ class STGCN(NeuralForecaster):
         if num_blocks < 1:
             raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
         rng = np.random.default_rng(seed)
-        cheb = chebyshev_polynomials(adjacency, cheb_order)
+        cheb = chebyshev_basis(adjacency, cheb_order)
         self.blocks = []
         channels = num_features
         for i in range(num_blocks):

@@ -5,7 +5,7 @@ from .activation import LeakyReLU, ReLU, Sigmoid, Softmax, Tanh
 from .attention import SpatialAttention, TemporalAttention
 from .container import ModuleList, Sequential
 from .dropout import Dropout
-from .graph import AdaptiveGraphConv, ChebConv, GraphConv
+from .graph import AdaptiveGraphConv, ChebConv, GraphConv, chebyshev_basis
 from .linear import MLP, Linear
 from .loss import (
     ImputationConsistencyLoss,

@@ -14,10 +14,32 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import ChebBasis, Tensor, cheb_propagate, concat, default_dtype, softmax
+from ..autodiff.fused import use_sparse_basis
+from ..graphs import chebyshev_polynomials, sparse_chebyshev_polynomials
 from . import init
 from .module import Module, Parameter
 
-__all__ = ["ChebConv", "GraphConv", "AdaptiveGraphConv"]
+__all__ = ["ChebConv", "GraphConv", "AdaptiveGraphConv", "chebyshev_basis"]
+
+
+def chebyshev_basis(adjacency: np.ndarray, order: int) -> ChebBasis:
+    """The order-``K`` Chebyshev basis of ``adjacency``, ready for :class:`ChebConv`.
+
+    Graphs the dense/sparse rule (:func:`~repro.autodiff.fused.use_sparse_basis`)
+    sends to CSR are built in ``scipy.sparse`` from the start, so a large
+    road graph never materialises its ``(K, N, N)`` stack; the rest take
+    the dense :func:`~repro.graphs.chebyshev_polynomials` path.
+    """
+    adjacency = np.asarray(adjacency)
+    n = adjacency.shape[0]
+    # T_0 holds N entries and T_1 at least nnz(A) more: a cheap lower
+    # bound on the basis nnz that keeps dense graphs off the sparse builder.
+    lower_bound = n + (int(np.count_nonzero(adjacency)) if order > 1 else 0)
+    if use_sparse_basis(n, lower_bound, order):
+        stack = sparse_chebyshev_polynomials(adjacency, order)
+        if use_sparse_basis(n, stack.nnz, order):
+            return ChebBasis(stack)
+    return ChebBasis(chebyshev_polynomials(adjacency, order))
 
 
 class ChebConv(Module):
@@ -28,10 +50,13 @@ class ChebConv(Module):
     in_channels, out_channels:
         Node feature dimensions.
     cheb_stack:
-        Array of shape ``(K, N, N)`` holding ``T_k(L̃)`` for
-        ``k = 0 .. K-1`` where ``L̃`` is the scaled Laplacian. Computed once
-        by :func:`repro.graphs.laplacian.chebyshev_polynomials` since the
-        graph is fixed during training.
+        ``T_k(L̃)`` for ``k = 0 .. K-1`` where ``L̃`` is the scaled
+        Laplacian: a :class:`~repro.autodiff.ChebBasis` (from
+        :func:`chebyshev_basis`, shareable between convolutions), or
+        anything ``ChebBasis`` accepts — a dense ``(K, N, N)`` array such
+        as :func:`repro.graphs.chebyshev_polynomials` returns, or a sparse
+        ``(K·N, N)`` stack. Computed once since the graph is fixed during
+        training.
     """
 
     def __init__(
@@ -40,21 +65,19 @@ class ChebConv(Module):
         out_channels: int,
         cheb_stack,
         bias: bool = True,
-        sparse: bool = False,
-        sparsity_eps: float = 1e-12,
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng()
-        # The K polynomial hops are fused into one stacked-basis matmul
-        # (see repro.autodiff.fused); the basis is stored in the policy
-        # dtype so propagation never upcasts float32 activations.
-        self._basis = ChebBasis(cheb_stack, sparse=sparse, sparsity_eps=sparsity_eps)
+        # The K polynomial hops are fused into one propagation (see
+        # repro.autodiff.fused); the basis is stored in the policy dtype
+        # so propagation never upcasts float32 activations.
+        self._basis = (cheb_stack if isinstance(cheb_stack, ChebBasis)
+                       else ChebBasis(cheb_stack))
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.order = self._basis.order
         self.num_nodes = self._basis.num_nodes
-        self.sparse = sparse
         self.weight = Parameter(
             init.xavier_uniform((self.order * in_channels, out_channels), rng)
         )

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+from scipy import sparse as sp
 
 from ...autodiff import ChebBasis, Tensor, dtype_policy
 from ...datasets import ZScoreScaler
@@ -168,13 +169,16 @@ def make_shard_bundle(bundle: ModelBundle, retained) -> ModelBundle:
     full_chebs = [m for m in bundle.model.modules() if isinstance(m, ChebConv)]
     sub_chebs = [m for m in sub_model.modules() if isinstance(m, ChebConv)]
     for full_conv, sub_conv in zip(full_chebs, sub_chebs):
+        # Slice the (K·N, N) stacked basis in the form it is stored in;
+        # the sub-basis then takes the dense/sparse rule at its own size.
         basis = full_conv._basis.forward_basis
-        if full_conv.sparse:
-            basis = np.asarray(basis.todense())
-        stack = np.ascontiguousarray(basis).reshape(full_conv.order, n, n)
-        sub_conv._basis = ChebBasis(stack[:, ix][:, :, ix], sparse=False)
+        rows = (np.arange(full_conv.order)[:, None] * n + ix).ravel()
+        if sp.issparse(basis):
+            sub_stack = basis[rows][:, ix]
+        else:
+            sub_stack = basis[np.ix_(rows, ix)].reshape(full_conv.order, ix.size, ix.size)
+        sub_conv._basis = ChebBasis(sub_stack)
         sub_conv.num_nodes = int(ix.size)
-        sub_conv.sparse = False
     full_gconvs = [m for m in bundle.model.modules() if isinstance(m, GraphConv)]
     sub_gconvs = [m for m in sub_model.modules() if isinstance(m, GraphConv)]
     for full_conv, sub_conv in zip(full_gconvs, sub_gconvs):

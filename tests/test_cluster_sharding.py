@@ -225,3 +225,47 @@ class TestTranslateSnapshot:
             np.asarray(out["values"]), np.asarray(snap["values"])
         )
         assert out["last_seen"] == snap["last_seen"]
+
+
+class TestSparseBasisSlicing:
+    """A CSR basis is sliced as CSR; each sub-basis then takes the
+    dense/sparse rule at its own size, and owned rows stay exact."""
+
+    @pytest.fixture(scope="class")
+    def sparse_bundle(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bundles") / "corridor300"
+        with dtype_policy("float64"):
+            bundle = make_demo_bundle(str(path), num_nodes=300, input_length=4,
+                                      output_length=2, seed=0)
+        return bundle
+
+    @pytest.mark.parametrize("owned, sparse_sub", [
+        (list(range(100, 200)), False),  # 108 retained nodes: dense sub-basis
+        (list(range(0, 276)), True),  # 280 retained nodes: stays CSR
+    ])
+    def test_owned_rows_exact(self, sparse_bundle, owned, sparse_sub):
+        from scipy import sparse as sp
+
+        from repro.autodiff import inference_mode
+
+        full_basis = sparse_bundle.model.encoder._basis
+        assert sp.issparse(full_basis.forward_basis)
+        halo = [v for v in range(owned[0] - 4, owned[-1] + 5)
+                if 0 <= v < 300 and v not in owned]
+        retained = sorted(owned + halo)
+        with dtype_policy("float64"):
+            sub = make_shard_bundle(sparse_bundle, retained)
+            sub_basis = sub.model.encoder._basis
+            assert sp.issparse(sub_basis.forward_basis) == sparse_sub
+            rows = (np.arange(3)[:, None] * 300 + np.asarray(retained)).ravel()
+            expected = full_basis.forward_basis.toarray()[np.ix_(rows, retained)]
+            sliced = sub_basis.forward_basis
+            np.testing.assert_array_equal(
+                sliced.toarray() if sparse_sub else sliced, expected)
+            x = np.random.default_rng(0).normal(size=(1, 4, 300, 1))
+            with inference_mode():
+                full_pred = sparse_bundle.model(x, None, None).prediction.data
+                part_pred = sub.model(x[:, :, retained], None, None).prediction.data
+        local = [retained.index(g) for g in owned]
+        np.testing.assert_allclose(part_pred[:, :, local], full_pred[:, :, owned],
+                                   rtol=0, atol=1e-9)

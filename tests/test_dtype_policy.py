@@ -21,6 +21,7 @@ from repro.autodiff import (
     set_default_dtype,
     split,
 )
+from repro.autodiff import fused
 from repro.datasets import ZScoreScaler
 from repro.experiments import build_model
 from repro.graphs import chebyshev_polynomials, normalized_laplacian
@@ -175,10 +176,15 @@ class TestChebPropagate:
             xt = Tensor(x, requires_grad=True)
             gradcheck(lambda t: cheb_propagate(t, basis), [xt])
 
-    def test_sparse_matches_dense(self):
+    def test_sparse_matches_dense(self, monkeypatch):
         stack, x = _cheb_setup()
         dense = ChebBasis(stack)
-        sparse = ChebBasis(stack, sparse=True)
+        # Move the dense/sparse crossover so this tiny basis goes CSR.
+        monkeypatch.setattr(fused, "SPARSE_MIN_NODES", 0)
+        monkeypatch.setattr(fused, "SPARSE_MAX_DENSITY", 1.0)
+        sparse = ChebBasis(stack)
+        assert isinstance(dense.forward_basis, np.ndarray)
+        assert not isinstance(sparse.forward_basis, np.ndarray)
         xt = Tensor(x.astype(default_dtype()))
         np.testing.assert_allclose(
             cheb_propagate(xt, dense).data,
