@@ -26,8 +26,9 @@ of two forms, chosen from the graph by :func:`use_sparse_basis`:
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
-from scipy import sparse as sp
 
 from .dtype import default_dtype
 from .tensor import Tensor, as_tensor, is_grad_enabled
@@ -46,6 +47,17 @@ def use_sparse_basis(num_nodes: int, nnz: int, order: int) -> bool:
     stored entries is propagated as CSR (the rule is fixed, not a setting)."""
     return (num_nodes >= SPARSE_MIN_NODES
             and nnz <= SPARSE_MAX_DENSITY * order * num_nodes * num_nodes)
+
+
+def _issparse(matrix) -> bool:
+    """``scipy.sparse.issparse`` without importing scipy.
+
+    A sparse matrix cannot exist unless ``scipy.sparse`` is loaded, so
+    dense-only processes (the small-graph serving path) never pay its
+    ~22 MB import.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(matrix)
 
 
 def _contiguous(a: np.ndarray) -> np.ndarray:
@@ -121,7 +133,9 @@ class ChebBasis:
 
     def __init__(self, cheb_stack):
         dtype = default_dtype()
-        if sp.issparse(cheb_stack):
+        if _issparse(cheb_stack):
+            from scipy import sparse as sp
+
             stacked = sp.csr_matrix(cheb_stack).astype(dtype)
             rows, n = stacked.shape
             if n == 0 or rows % n:
@@ -145,12 +159,14 @@ class ChebBasis:
         self.num_nodes = int(n)
         self._forward_ells = self._backward_ell = None
         if not use_sparse_basis(self.num_nodes, nnz, self.order):
-            if sp.issparse(stacked):
+            if _issparse(stacked):
                 stacked = stacked.toarray()
             self.forward_basis = stacked  # (K·N, N)
             self.backward_basis = np.ascontiguousarray(stacked.T)  # (N, K·N)
             return
-        forward = stacked if sp.issparse(stacked) else sp.csr_matrix(stacked)
+        from scipy import sparse as sp
+
+        forward = stacked if _issparse(stacked) else sp.csr_matrix(stacked)
         backward = forward.T.tocsr()
         self.forward_basis, self.backward_basis = forward, backward
         # One padded operand per hop: each T_k pads to its own widest row.
@@ -169,7 +185,7 @@ class ChebBasis:
         """Bytes of every array the basis holds."""
         total = 0
         for matrix in (self.forward_basis, self.backward_basis):
-            if sp.issparse(matrix):
+            if _issparse(matrix):
                 total += matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
             else:
                 total += matrix.nbytes

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import os
 
-import networkx as nx
 import numpy as np
 
 from ..errors import DataError
@@ -158,6 +157,8 @@ def load_csv_dataset(
     starting at 06:00 with 5-minute bins uses ``72``); the temporal-graph
     machinery depends on correct time-of-day indices.
     """
+    import networkx as nx
+
     data, mask, names = load_readings_csv(readings_path, **reader_kwargs)
     distances = load_distances_csv(distances_path, sensor_names=names)
     if distances.shape[0] != data.shape[1]:

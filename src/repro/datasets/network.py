@@ -16,9 +16,12 @@ distances), which is what "road network distances" in Section III-A means.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["RoadNetwork", "highway_corridor", "city_grid"]
 
@@ -66,6 +69,8 @@ class RoadNetwork:
 
 def _shortest_path_distances(graph: nx.Graph, n: int) -> np.ndarray:
     """Dense all-pairs shortest path lengths using edge ``length`` weights."""
+    import networkx as nx
+
     distances = np.full((n, n), np.inf)
     for src, lengths in nx.all_pairs_dijkstra_path_length(graph, weight="length"):
         for dst, dist in lengths.items():
@@ -93,6 +98,8 @@ def highway_corridor(
     """
     if num_nodes < 2:
         raise ValueError(f"need at least 2 nodes, got {num_nodes}")
+    import networkx as nx
+
     rng = np.random.default_rng(seed)
     graph = nx.Graph()
     coordinates = np.zeros((num_nodes, 2))
@@ -156,6 +163,8 @@ def city_grid(
     information the paper lists for Stampede (lanes, lights, limits,
     segment center GPS).
     """
+    import networkx as nx
+
     num_nodes = rows * cols
     rng = np.random.default_rng(seed)
     graph = nx.Graph()

@@ -14,7 +14,6 @@ eigenvalue — for graphs too large to hold as ``(K, N, N)``.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse as sp
 
 __all__ = [
     "normalized_laplacian",
@@ -87,7 +86,7 @@ def chebyshev_polynomials(
     return stack
 
 
-def _sparse_max_eigenvalue(matrix: sp.csr_matrix) -> float:
+def _sparse_max_eigenvalue(matrix) -> float:
     """Largest eigenvalue of the symmetric part of a sparse matrix.
 
     The Lanczos start vector is seeded, so the same graph always scales
@@ -107,7 +106,7 @@ def sparse_chebyshev_polynomials(
     adjacency,
     order: int,
     lambda_max: float | None = None,
-) -> sp.csr_matrix:
+):
     """``T_0 .. T_{K-1}`` stacked vertically as one ``(K·N, N)`` CSR matrix.
 
     The sparse counterpart of :func:`chebyshev_polynomials`: row
@@ -116,6 +115,10 @@ def sparse_chebyshev_polynomials(
     is allocated, and ``lambda_max`` defaults to the largest eigenvalue
     from ``eigsh``.
     """
+    # Imported here, like ``eigsh``: scipy.sparse adds ~22 MB to every
+    # process that imports repro, and only large sparse graphs need it.
+    from scipy import sparse as sp
+
     if order < 1:
         raise ValueError(f"Chebyshev order must be >= 1, got {order}")
     a = sp.csr_matrix(adjacency, dtype=np.float64)

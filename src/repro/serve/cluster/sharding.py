@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-from scipy import sparse as sp
 
 from ...autodiff import ChebBasis, Tensor, dtype_policy
 from ...datasets import ZScoreScaler
@@ -173,10 +172,10 @@ def make_shard_bundle(bundle: ModelBundle, retained) -> ModelBundle:
         # the sub-basis then takes the dense/sparse rule at its own size.
         basis = full_conv._basis.forward_basis
         rows = (np.arange(full_conv.order)[:, None] * n + ix).ravel()
-        if sp.issparse(basis):
-            sub_stack = basis[rows][:, ix]
-        else:
+        if isinstance(basis, np.ndarray):
             sub_stack = basis[np.ix_(rows, ix)].reshape(full_conv.order, ix.size, ix.size)
+        else:  # CSR
+            sub_stack = basis[rows][:, ix]
         sub_conv._basis = ChebBasis(sub_stack)
         sub_conv.num_nodes = int(ix.size)
     full_gconvs = [m for m in bundle.model.modules() if isinstance(m, GraphConv)]

@@ -45,6 +45,13 @@ Threading model: each connection gets a handler thread (the stdlib
 mixin); handlers funnel forecasts through the pool's routing and each
 engine's batching queue, and observations through the store's lock.
 
+Wire path (see ``docs/SERVING.md``): every response leaves in one write
+(status line, headers and body) on a ``TCP_NODELAY`` socket, so no part
+of it waits on the client's delayed ACK. A ``Content-Length`` above
+:data:`MAX_BODY_BYTES` is answered 413 without reading the body, and a
+body that does not arrive within :data:`BODY_READ_TIMEOUT_S` 408; both
+close the connection.
+
 Resilience surface (see ``docs/RELIABILITY.md``): endpoints return
 :class:`Response` objects so degraded answers can carry ``X-Degraded``
 and ``Retry-After`` headers; resilience errors map onto HTTP —
@@ -578,9 +585,23 @@ class ServeApp:
         return self._runtime(self.pool.tenants()[0])
 
 
+#: Largest request body the handler reads; a longer ``Content-Length`` is
+#: answered 413 without reading it. A full-network observation of a
+#: 2048-sensor graph with its mask is about 50 KB of JSON.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Seconds the whole body read may take once the headers are in; past
+#: it the handler answers 408. Idle keep-alive connections have no
+#: timeout: a client may hold one open between requests.
+BODY_READ_TIMEOUT_S = 10.0
+
+
 class _Handler(BaseHTTPRequestHandler):
     app: ServeApp  # injected via the make_server subclass
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: the sub-MSS tail of a multi-segment body must not wait
+    # on the client's delayed ACK of the segments before it.
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # keep test/CI output clean; telemetry covers observability
@@ -598,8 +619,36 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in response.headers.items():
             self.send_header(name, str(value))
-        self.end_headers()
+        # One write for the whole response: end_headers() would flush the
+        # header block alone, and a second, body write would then wait for
+        # the client's delayed ACK (~40 ms on a reused connection).
+        if self.request_version != "HTTP/0.9":  # 0.9 answers are the bare body
+            body = b"".join([*self._headers_buffer, b"\r\n", body])
+            self._headers_buffer = []
         self.wfile.write(body)
+
+    def _close_with(self, status: int, error: str) -> None:
+        """Answer ``status`` and close: the unread body leaves the
+        connection unusable for another request."""
+        self._respond(Response(status, {"error": error}, {"Connection": "close"}))
+
+    def _read_body(self, length: int) -> bytes | None:
+        """``length`` body bytes, or None if they take longer than
+        :data:`BODY_READ_TIMEOUT_S` to arrive."""
+        deadline = time.monotonic() + BODY_READ_TIMEOUT_S
+        body = bytearray()
+        try:
+            while len(body) < length:
+                self.connection.settimeout(max(deadline - time.monotonic(), 1e-3))
+                chunk = self.rfile.read1(length - len(body))
+                if not chunk:  # the client closed mid-body
+                    break
+                body += chunk
+        except TimeoutError:
+            return None
+        finally:
+            self.connection.settimeout(None)
+        return bytes(body)
 
     def do_GET(self) -> None:  # noqa: N802
         self._respond(self.app.handle("GET", self.path, None, dict(self.headers)))
@@ -612,15 +661,20 @@ class _Handler(BaseHTTPRequestHandler):
             length = -1
         if length < 0:
             # answer instead of dropping the connection on int() or
-            # blocking the handler thread in rfile.read(-n); the unread
-            # body makes the connection unusable, so close it
-            self._respond(Response(
-                400,
-                {"error": f"invalid Content-Length {raw!r}"},
-                {"Connection": "close"},
-            ))
+            # blocking the handler thread in rfile.read(-n)
+            self._close_with(400, f"invalid Content-Length {raw!r}")
             return
-        body = self.rfile.read(length) if length else b""
+        if length > MAX_BODY_BYTES:
+            self._close_with(
+                413, f"Content-Length {length} exceeds the {MAX_BODY_BYTES}-byte cap"
+            )
+            return
+        body = self._read_body(length) if length else b""
+        if body is None:
+            self._close_with(
+                408, f"request body not received within {BODY_READ_TIMEOUT_S} s"
+            )
+            return
         self._respond(self.app.handle("POST", self.path, body, dict(self.headers)))
 
 

@@ -1,15 +1,23 @@
 """Tests for the HTTP serving layer (repro.serve.http)."""
 
+import http.client
 import json
+import os
 import socket
+import subprocess
+import sys
+import textwrap
 import threading
+import time
 import urllib.request
 
 import numpy as np
 import pytest
 
+import repro
 from repro.experiments import build_model, default_trainer_config
-from repro.serve import ServeApp, export_bundle, load_bundle, make_server
+from repro.serve import ServeApp, export_bundle, load_bundle, make_demo_bundle, make_server
+from repro.serve import http as serve_http
 from repro.telemetry import MetricRegistry
 from repro.training import Trainer
 
@@ -205,3 +213,203 @@ class TestContentLength:
         head, _, body = raw.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400"), raw
         assert "Content-Length" in json.loads(body)["error"]
+
+
+def _connect(base: str, nodelay: bool = False) -> socket.socket:
+    """A raw client socket; the 5 s timeout turns a stalled server into a
+    failure instead of a hang."""
+    host, port = base.rsplit("/", 1)[-1].split(":")
+    sock = socket.create_connection((host, int(port)), timeout=5)
+    if nodelay:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def _exchange(sock: socket.socket, request: bytes) -> tuple[int, dict, bytes]:
+    """Send one request and read its response: (status, headers, body)."""
+    sock.sendall(request)
+    response = http.client.HTTPResponse(sock)
+    response.begin()
+    return response.status, dict(response.getheaders()), response.read()
+
+
+def _post_request(path: str, payload: dict) -> bytes:
+    body = json.dumps(payload).encode()
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+    ).encode() + body
+
+
+def _get_request(path: str) -> bytes:
+    return f"GET {path} HTTP/1.1\r\nHost: test\r\n\r\n".encode()
+
+
+def _at_eof(sock: socket.socket) -> bool:
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+@pytest.fixture()
+def wire(app):
+    """A server whose handlers record every response write and the
+    accepted socket's TCP_NODELAY setting."""
+    server = make_server(app)
+    record = {"writes": [], "nodelay": []}
+
+    class Recording(server.RequestHandlerClass):
+        def setup(self):
+            super().setup()
+            record["nodelay"].append(
+                self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            write = self.wfile.write
+
+            def counted(data):
+                record["writes"].append(bytes(data))
+                return write(data)
+
+            self.wfile.write = counted
+
+    server.RequestHandlerClass = Recording
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    yield f"http://{host}:{port}", app, record
+    server.shutdown()
+    server.server_close()
+    app.engine.stop()
+
+
+class TestWire:
+    """Each response leaves in one write on a TCP_NODELAY socket, so no
+    part of it waits on the client's delayed ACK."""
+
+    @pytest.mark.parametrize("request_bytes, status, closes", [
+        (_get_request("/healthz"), 200, False),
+        (b"POST /observe HTTP/1.1\r\nHost: test\r\nContent-Length: 9\r\n\r\n{not json", 400, False),
+        (b"POST /observe HTTP/1.1\r\nHost: test\r\nContent-Length: abc\r\n\r\n", 400, True),
+    ], ids=["200", "400", "connection-close"])
+    def test_one_write_per_response(self, wire, request_bytes, status, closes):
+        base, _, record = wire
+        with _connect(base) as sock:
+            got, headers, body = _exchange(sock, request_bytes)
+            assert got == status
+            assert (headers.get("Connection") == "close") is closes
+            if closes:
+                assert _at_eof(sock)
+        assert len(record["writes"]) == 1, record["writes"]
+        (written,) = record["writes"]
+        assert written.startswith(f"HTTP/1.1 {status} ".encode())
+        assert written.endswith(b"\r\n\r\n" + body)
+
+    def test_accepted_socket_has_nodelay(self, wire):
+        base, _, record = wire
+        with _connect(base) as sock:
+            assert _exchange(sock, _get_request("/healthz"))[0] == 200
+        assert record["nodelay"] and all(record["nodelay"])
+
+    def test_back_to_back_requests_on_one_connection(self, wire):
+        """A stalled server answers each reused-connection request only
+        after the client's ~40 ms delayed ACK."""
+        base, app, _ = wire
+        n, d = app.bundle.num_nodes, app.bundle.num_features
+        values = np.full((n, d), 60.0).tolist()
+        with _connect(base, nodelay=True) as sock:
+            # warm the window and compile the forecast plan untimed
+            for step in range(app.bundle.input_length):
+                status, _, _ = _exchange(
+                    sock, _post_request("/observe", {"step": step, "values": values})
+                )
+                assert status == 200
+            assert _exchange(sock, _get_request("/forecast"))[0] == 200
+            elapsed_ms = []
+            for step in range(app.bundle.input_length, app.bundle.input_length + 20):
+                for request in (
+                    _post_request("/observe", {"step": step, "values": values}),
+                    _get_request("/forecast"),
+                ):
+                    began = time.perf_counter()
+                    status, _, _ = _exchange(sock, request)
+                    elapsed_ms.append((time.perf_counter() - began) * 1e3)
+                    assert status == 200
+        assert max(elapsed_ms) < 20.0, elapsed_ms
+
+
+class TestBodyGuards:
+    """The body read is bounded in size and time; idle keep-alive
+    connections are not."""
+
+    def test_overstated_content_length_answered_408(self, server, monkeypatch):
+        monkeypatch.setattr(serve_http, "BODY_READ_TIMEOUT_S", 0.2)
+        base, _ = server
+        with _connect(base) as sock:
+            began = time.perf_counter()
+            status, headers, body = _exchange(
+                sock,
+                b"POST /observe HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 100\r\n\r\n{\"step\": 0}",
+            )
+            assert status == 408 and headers["Connection"] == "close"
+            assert "not received" in json.loads(body)["error"]
+            assert time.perf_counter() - began < 2.0
+            assert _at_eof(sock)
+
+    def test_oversized_body_answered_413_unread(self, server):
+        base, _ = server
+        length = serve_http.MAX_BODY_BYTES + 1
+        with _connect(base) as sock:
+            status, headers, body = _exchange(
+                sock,
+                f"POST /observe HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode(),
+            )
+            assert status == 413 and headers["Connection"] == "close"
+            assert str(serve_http.MAX_BODY_BYTES) in json.loads(body)["error"]
+            assert _at_eof(sock)
+
+    def test_idle_keep_alive_outlives_body_timeout(self, server, monkeypatch):
+        monkeypatch.setattr(serve_http, "BODY_READ_TIMEOUT_S", 0.1)
+        base, app = server
+        reading = {"step": 0, "node": 0, "features": [50.0] * app.bundle.num_features}
+        with _connect(base) as sock:
+            assert _exchange(sock, _get_request("/healthz"))[0] == 200
+            time.sleep(0.3)
+            status, _, body = _exchange(sock, _post_request("/observe", reading))
+            assert status == 200, body
+
+
+class TestLeanServingProcess:
+    def test_dense_serving_imports_neither_networkx_nor_scipy_sparse(self, tmp_path):
+        """networkx (~18 MB) and scipy.sparse (~22 MB) load only where a
+        graph is generated or a sparse basis is built."""
+        path = str(tmp_path / "demo")
+        make_demo_bundle(path, num_nodes=16)
+        script = textwrap.dedent(f"""
+            import json, sys
+            import numpy as np
+            import repro.cli
+            from repro.serve import ServeApp, load_bundle
+            from repro.telemetry import MetricRegistry
+
+            bundle = load_bundle({path!r})
+            app = ServeApp(bundle, registry=MetricRegistry())
+            app.pool.start()
+            values = np.full((bundle.num_nodes, bundle.num_features), 60.0).tolist()
+            for step in range(bundle.input_length):
+                body = json.dumps({{"step": step, "values": values}}).encode()
+                assert app.handle("POST", "/observe", body).status == 200
+            assert app.handle("GET", "/forecast", None).status == 200
+            app.pool.stop()
+            print(json.dumps([m for m in ("networkx", "scipy.sparse") if m in sys.modules]))
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []
